@@ -2,8 +2,9 @@
 
 Subcommands: count, generate, verify, tree, codes, selfcheck.  Output is
 deterministic for identical invocations and all word lists are sorted.
-Exit codes: 0 success, 1 selfcheck failure, 2 invalid arguments, 3 brute
-force cap exceeded (cap configurable via the DYCK_BRUTE_CAP variable).
+Exit codes: 0 success, 1 selfcheck failure, 2 invalid arguments or a
+non-integer DYCK_BRUTE_CAP, 3 brute force cap exceeded (cap configurable via
+the DYCK_BRUTE_CAP variable).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="count words of length (2m+3)n")
+    p_count.set_defaults(func=_cmd_count)
     p_count.add_argument("--m", type=int, required=True)
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--language", choices=("U", "D"), required=True)
@@ -37,6 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_gen = sub.add_parser("generate", help="list all words of length (2m+3)n")
+    p_gen.set_defaults(func=_cmd_generate)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--language", choices=("U", "D"), required=True)
@@ -44,6 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="membership report for one word")
+    p_verify.set_defaults(func=_cmd_verify)
     p_verify.add_argument("--m", type=int, required=True)
     p_verify.add_argument("--word", required=True)
     p_verify.add_argument("--alphabet", choices=("ab", "01"), default="ab")
@@ -51,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tree = sub.add_parser(
         "tree", help="slope-5/2 word/tree conversion (m fixed to 2)"
     )
+    p_tree.set_defaults(func=_cmd_tree)
     group = p_tree.add_mutually_exclusive_group(required=True)
     group.add_argument("--encode", metavar="WORD")
     group.add_argument("--decode", metavar="TREE_JSON")
@@ -58,6 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_codes = sub.add_parser(
         "codes", help="cross-bifix-free binary code from D-words"
     )
+    p_codes.set_defaults(func=_cmd_codes)
     p_codes.add_argument("--m", type=int, required=True)
     p_codes.add_argument("--n-max", type=int, required=True)
     p_codes.add_argument("--format", choices=("text", "json"), default="text")
@@ -68,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_self = sub.add_parser("selfcheck", help="run the cross-module invariant suite")
+    p_self.set_defaults(func=_cmd_selfcheck)
     p_self.add_argument("--level", choices=("quick", "full"), default="quick")
 
     return parser
@@ -89,35 +96,25 @@ def _read_word(parser: argparse.ArgumentParser, word: str, alphabet: str) -> str
     return words.from_binary(word) if alphabet == "01" else word
 
 
+_COUNTERS = {
+    ("U", "bell"): counting.count_u,
+    ("D", "bell"): counting.count_d,
+    ("U", "series"): lambda m, n: series.u_series(m, n)[n],
+    ("D", "series"): lambda m, n: series.d_series(m, n)[n],
+    ("U", "colored"): counting.count_colored_dyck,
+    ("U", "brute"): lambda m, n: len(words.brute_enumerate_u(m, n)),
+    ("D", "brute"): lambda m, n: len(words.brute_enumerate_d(m, n)),
+}
+
+
 def _cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require_slope(parser, args.m)
     if args.n < 0:
         parser.error("--n must be >= 0")
-    if args.method == "bell":
-        value = (
-            counting.count_u(args.m, args.n)
-            if args.language == "U"
-            else counting.count_d(args.m, args.n)
-        )
-    elif args.method == "series":
-        poly = (
-            series.u_series(args.m, args.n)
-            if args.language == "U"
-            else series.d_series(args.m, args.n)
-        )
-        value = poly[args.n]
-    elif args.method == "colored":
-        if args.language != "U":
-            parser.error("--method colored applies to --language U only")
-        value = counting.count_colored_dyck(args.m, args.n)
-    else:
-        enum = (
-            words.brute_enumerate_u
-            if args.language == "U"
-            else words.brute_enumerate_d
-        )
-        value = len(enum(args.m, args.n))
-    print(value)
+    count = _COUNTERS.get((args.language, args.method))
+    if count is None:
+        parser.error(f"--method {args.method} applies to --language U only")
+    print(count(args.m, args.n))
     return 0
 
 
@@ -196,7 +193,7 @@ def _cmd_codes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0
 
 
-def _cmd_selfcheck(args: argparse.Namespace) -> int:
+def _cmd_selfcheck(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0 if selfcheck.run(args.level) else 1
 
 
@@ -204,17 +201,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "count":
-            return _cmd_count(parser, args)
-        if args.command == "generate":
-            return _cmd_generate(parser, args)
-        if args.command == "verify":
-            return _cmd_verify(parser, args)
-        if args.command == "tree":
-            return _cmd_tree(parser, args)
-        if args.command == "codes":
-            return _cmd_codes(parser, args)
-        return _cmd_selfcheck(args)
+        words.brute_cap()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return args.func(parser, args)
     except words.CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

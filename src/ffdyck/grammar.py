@@ -111,23 +111,13 @@ def generate_u_words(m: int, n: int, cap: int | None = None) -> list[str]:
 
 
 def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
-    """All nonempty D-words of length (2m+3)n via D = L_1 L_1 b + L_2 b, sorted."""
+    """All nonempty D-words of length (2m+3)n via D = L_1 L_1 b + L_2 b, sorted.
+
+    That rule is the general L_i rule at i = 0, so D expands as L_0.
+    """
     if n == 0:
         return []
-    length = period(m) * n
-    exp = _Expander(m, brute_cap(cap))
-    acc: list[str] = []
-    for left_len in range(1, length - 1):
-        left = exp.l_words(1, left_len)
-        if not left:
-            continue
-        right = exp.l_words(1, length - 1 - left_len)
-        for u in left:
-            for v in right:
-                acc.append(u + v + "b")
-        exp.charge(len(left) * len(right))
-    acc.extend(u + "b" for u in exp.l_words(2, length - 1))
-    return sorted(acc)
+    return sorted(_Expander(m, brute_cap(cap)).l_words(0, period(m) * n))
 
 
 def primitive_u_words(m: int, j: int, cap: int | None = None) -> list[str]:

@@ -112,19 +112,20 @@ LEAF = ColoredTree()
 def tree_to_word(tree: ColoredTree) -> str:
     """Counterclockwise traversal of the tree, emitting the edge labels."""
     parts: list[str] = []
-
-    def emit(node: ColoredTree) -> None:
-        if not node.children:
-            return
-        parts.append("ba" if node.color == "blue" else "a")
-        emit(node.children[0])
-        gap = "bbbba" if node.color == "red" else "bbba"
-        for child in node.children[1:]:
-            parts.append(gap)
-            emit(child)
-        parts.append("bb" if node.color == "green" else "b")
-
-    emit(tree)
+    todo: list[ColoredTree | str] = [tree]  # nodes to visit and labels to emit
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        if not item.children:
+            continue
+        parts.append("ba" if item.color == "blue" else "a")
+        todo.append("bb" if item.color == "green" else "b")
+        gap = "bbbba" if item.color == "red" else "bbba"
+        for child in reversed(item.children[1:]):
+            todo.extend((child, gap))
+        todo.append(item.children[0])
     return "".join(parts)
 
 
@@ -140,10 +141,22 @@ class _Node:
         self.first_edge: str | None = None
 
     def freeze(self) -> ColoredTree:
+        """Build the immutable tree bottom-up, without recursion."""
+        order: list[_Node] = []
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            order.append(node)
+            todo.extend(node.children)
+        frozen: dict[int, ColoredTree] = {}
         try:
-            return ColoredTree(self.color, tuple(c.freeze() for c in self.children))
+            for node in reversed(order):
+                frozen[id(node)] = ColoredTree(
+                    node.color, tuple(frozen.pop(id(c)) for c in node.children)
+                )
         except MalformedTree as exc:
             raise MalformedTraversal(f"replay built an invalid tree: {exc}") from exc
+        return frozen[id(self)]
 
 
 def _groups(word: str) -> Iterator[tuple[int, bool]]:

@@ -42,7 +42,11 @@ def brute_cap(override: int | None = None) -> int:
     """Active brute-force candidate cap (override arg, else env var, else default)."""
     if override is not None:
         return override
-    return int(os.environ.get(BRUTE_CAP_ENV, DEFAULT_BRUTE_CAP))
+    raw = os.environ.get(BRUTE_CAP_ENV, str(DEFAULT_BRUTE_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def period(m: int) -> int:
@@ -87,23 +91,35 @@ def is_dyck(word: str, m: int) -> bool:
     return h == 0
 
 
+def _dyck_factor_start(stack: tuple | None, h: int, j: int) -> tuple[tuple, int | None]:
+    """Add prefix level h at index j to a stack of visible levels.
+
+    The stack is an immutable linked tuple (level, index, parent) or None.
+    Returns the new stack and the start i of the Dyck factor word[i:j], or
+    None when no factor ends at j; on a tie the stack is returned unchanged.
+    """
+    while stack is not None and stack[0] > h:
+        stack = stack[2]
+    if stack is not None and stack[0] == h:
+        return stack, stack[1]
+    return (h, j, stack), None
+
+
 def is_factor_free(word: str, m: int) -> bool:
     """No nonempty proper factor of the word is a generalized Dyck word.
 
-    The factor word[i:j] is Dyck exactly when profile[j] == profile[i] and no
-    profile value in between drops below profile[i]; the scan below walks j
-    upward for each i, breaking as soon as the running minimum falls under
-    profile[i] (no later j can recover).
+    The factor word[i:j] is Dyck exactly when profile[i] == profile[j] and no
+    profile value in between drops below it.  Scanning j upward, a level
+    profile[i] stays visible while no later prefix has dropped below it, so
+    the visible levels strictly increase: adding profile[j] pops the levels
+    above it, and a tie with the new top is a Dyck factor.  The single tie
+    allowed is the whole word (start 0, end len(word)).
     """
-    prof = prefix_profile(word, m)
-    n = len(word)
-    for i in range(n):
-        base = prof[i]
-        for j in range(i + 1, n + 1):
-            if prof[j] < base:
-                break
-            if prof[j] == base and not (i == 0 and j == n):
-                return False
+    stack = None
+    for j, h in enumerate(prefix_profile(word, m)):
+        stack, start = _dyck_factor_start(stack, h, j)
+        if start is not None and not (start == 0 and j == len(word)):
+            return False
     return True
 
 
@@ -202,28 +218,15 @@ def _check_cap(length: int, n_a: int, cap: int | None) -> None:
         )
 
 
-def _ends_dyck_factor(prof: list[int]) -> bool:
-    """Does some factor ending at the last profile position have Dyck shape?"""
-    j = len(prof) - 1
-    top = prof[j]
-    mn = top
-    for i in range(j - 1, -1, -1):
-        mn = min(mn, prof[i])
-        if mn < top:
-            return False
-        if prof[i] == top:
-            return True
-    return False
-
-
 def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[str]:
     """Depth-first search over {a,b} words of length (2m+3)n.
 
     Prunes prefixes that leave the admissible valuation band (>= 0 in Dyck
     mode, > -2m in U mode) or that already contain a nonempty Dyck factor
     ending at the current position; such a factor is proper in any completed
-    word extending the prefix.  Every surviving candidate is re-checked with
-    the full membership predicate before being emitted.
+    word extending the prefix.  Each node carries its own persistent stack of
+    visible levels, so backtracking needs no undo.  Every surviving candidate
+    is re-checked with the full membership predicate before being emitted.
     """
     if n == 0:
         return [] if dyck_mode else [""]
@@ -236,31 +239,29 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
 
     out: list[str] = []
     letters: list[str] = []
-    prof = [0]
 
-    def extend(c: str, rem_a: int, rem_b: int) -> None:
-        h = prof[-1] + (rise if c == "a" else -2)
+    def extend(stack: tuple, c: str, rem_a: int, rem_b: int) -> None:
+        h = stack[0] + (rise if c == "a" else -2)
         if h < floor:
             return
         letters.append(c)
-        prof.append(h)
-        if len(letters) == length or not _ends_dyck_factor(prof):
-            walk(rem_a, rem_b)
+        stack, start = _dyck_factor_start(stack, h, len(letters))
+        if len(letters) == length or start is None:
+            walk(stack, rem_a, rem_b)
         letters.pop()
-        prof.pop()
 
-    def walk(rem_a: int, rem_b: int) -> None:
+    def walk(stack: tuple, rem_a: int, rem_b: int) -> None:
         if rem_a == 0 and rem_b == 0:
             word = "".join(letters)
             if accept(word, m):
                 out.append(word)
             return
         if rem_a:
-            extend("a", rem_a - 1, rem_b)
+            extend(stack, "a", rem_a - 1, rem_b)
         if rem_b:
-            extend("b", rem_a, rem_b - 1)
+            extend(stack, "b", rem_a, rem_b - 1)
 
-    walk(n_a, n_b)
+    walk((0, 0, None), n_a, n_b)
     return sorted(out)
 
 

@@ -167,6 +167,20 @@ def test_cap_exceeded_exit_code(capsys, monkeypatch):
     assert code == 3 and "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--m", "1", "--n", "2", "--language", "U", "--method", "brute"),
+        ("generate", "--m", "1", "--n", "1", "--language", "U"),
+    ],
+)
+def test_non_integer_cap_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setenv("DYCK_BRUTE_CAP", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: DYCK_BRUTE_CAP must be an integer, got 'abc'"]
+
+
 def test_selfcheck_quick(capsys):
     code, out, _ = run_cli(capsys, "selfcheck", "--level", "quick")
     assert code == 0

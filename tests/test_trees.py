@@ -128,3 +128,14 @@ def test_canonical_rendering():
     assert BLUE.canonical() == "B(L,L)"
     assert FOUR.canonical() == "F(L,L,L,L)"
     assert ColoredTree("green", (BLUE, LEAF)).canonical() == "G(B(L,L),L)"
+
+
+def test_deep_blue_chain_round_trip():
+    # 1200 nested blue nodes: an 8400-letter U-word deeper than the recursion
+    # limit.  Words are compared, not trees, since tree equality recurses.
+    tree = LEAF
+    for _ in range(1200):
+        tree = ColoredTree("blue", (tree, LEAF))
+    word = tree_to_word(tree)
+    assert len(word) == 8400 and is_in_u(word, 2)
+    assert tree_to_word(word_to_tree(word)) == word

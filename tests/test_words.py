@@ -72,7 +72,7 @@ def test_factor_free_against_naive_scan():
                     return False
         return True
 
-    for m in (1, 2):
+    for m in (1, 2, 3):
         for w in all_words(9):
             assert is_factor_free(w, m) == naive(w, m), (w, m)
 
