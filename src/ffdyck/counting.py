@@ -1,12 +1,9 @@
 """Closed-form exact counters for the languages U and D.
 
-count_u evaluates the partial-Bell-polynomial formula
-
-    u_n = sum_{k=1}^n C(2n, k-1) * (k-1)!/n! * B_{n,k}(1! w_1, 2! w_2, ...),
-
-where w_j = C(m+j, m-j) is the ascent weight (zero past j = m).  count_d
-assembles the D count from coefficients of odd powers of the U series, which
-have their own closed Bell form.  count_colored_dyck is a deliberately
+u_odd_power_coeff evaluates the partial-Bell-polynomial formula for the
+coefficients of the odd powers of the U series; all its B_{n,k} come from one
+row of one Bell table.  count_u is the l = 0 case of that formula, and count_d
+sums such coefficients over l.  count_colored_dyck is a deliberately
 independent dynamic program over colored classical Dyck paths; it shares no
 code with the Bell formula or the series solvers so it can serve as an
 oracle for both.
@@ -19,11 +16,19 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .bell import bell_partial
+from .bell import bell_table
 
 
 class NonIntegerResult(Exception):
     """An exact integer division in a counting formula failed to be exact."""
+
+
+def _check_args(m: int, n: int) -> None:
+    """The counting layer's input contract: m >= 1 and n >= 0."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
 
 
 def _exact_div(num: int, den: int, context: str) -> int:
@@ -44,23 +49,14 @@ def ascent_weight(m: int, j: int) -> int:
     return comb(m + j, m - j)
 
 
-def _weighted_args(m: int, upto: int) -> list[int]:
-    """Sequence j! * C(m+j, m-j) for j = 1..upto (Bell polynomial arguments)."""
-    return [factorial(j) * ascent_weight(m, j) for j in range(1, upto + 1)]
+def _weighted_args(m: int) -> list[int]:
+    """Bell arguments j! * C(m+j, m-j) for j = 1..m (they are zero past j = m)."""
+    return [factorial(j) * ascent_weight(m, j) for j in range(1, m + 1)]
 
 
 def count_u(m: int, n: int) -> int:
     """Number of U-words of length (2m+3)n (1 for n = 0)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n == 0:
-        return 1
-    xs = _weighted_args(m, n)
-    total = sum(
-        comb(2 * n, k - 1) * factorial(k - 1) * bell_partial(n, k, xs)
-        for k in range(1, n + 1)
-    )
-    return _exact_div(total, factorial(n), f"count_u(m={m}, n={n})")
+    return u_odd_power_coeff(m, n, 0)
 
 
 def count_u_slope52(n: int) -> int:
@@ -69,6 +65,7 @@ def count_u_slope52(n: int) -> int:
     Evaluates (1/(2n+1)) * sum_{k=ceil(n/2)}^{n} C(2n+1, k) C(k, n-k) 3^(2k-n)
     and must agree with count_u(2, n).
     """
+    _check_args(2, n)
     total = sum(
         comb(2 * n + 1, k) * comb(k, n - k) * 3 ** (2 * k - n)
         for k in range((n + 1) // 2, n + 1)
@@ -80,15 +77,14 @@ def u_odd_power_coeff(m: int, nu: int, ell: int) -> int:
     """Coefficient of t^nu in the (2*ell+1)-st power of the U series.
 
     Closed form: (2l+1)/(2v+2l+1) * sum_{k=0}^{v} C(2v+2l+1, k) * k!/v! *
-    B_{v,k}(1! w_1, 2! w_2, ...).  With B_{0,0} = 1 the value at nu = 0 is 1
-    for every ell, as the constant term of any power of U must be.
+    B_{v,k}(1! w_1, 2! w_2, ...) with w_j = ascent_weight(m, j).  With
+    B_{0,0} = 1 the value at nu = 0 is 1 for every ell, as the constant term
+    of any power of U must be.
     """
-    if nu == 0:
-        return 1
-    xs = _weighted_args(m, nu)
+    _check_args(m, nu)
+    row = bell_table(nu, _weighted_args(m))[nu]
     total = sum(
-        comb(2 * nu + 2 * ell + 1, k) * factorial(k) * bell_partial(nu, k, xs)
-        for k in range(nu + 1)
+        comb(2 * nu + 2 * ell + 1, k) * factorial(k) * b for k, b in enumerate(row)
     )
     return _exact_div(
         (2 * ell + 1) * total,
@@ -99,8 +95,7 @@ def u_odd_power_coeff(m: int, nu: int, ell: int) -> int:
 
 def count_d(m: int, n: int) -> int:
     """Number of nonempty D-words of length (2m+3)n (1 for n = 0)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_args(m, n)
     if n == 0:
         return 1
     return sum(
@@ -118,8 +113,7 @@ def count_colored_dyck(m: int, n: int) -> int:
     consumed, height); block boundaries keep ascent maximality implicit since
     every ascent block ends with a down step.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_args(m, n)
     if n == 0:
         return 1
     steps = 4 * n

@@ -115,6 +115,8 @@ def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
 
     That rule is the general L_i rule at i = 0, so D expands as L_0.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if n == 0:
         return []
     return sorted(_Expander(m, brute_cap(cap)).l_words(0, period(m) * n))

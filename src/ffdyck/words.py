@@ -228,6 +228,8 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
     visible levels, so backtracking needs no undo.  Every surviving candidate
     is re-checked with the full membership predicate before being emitted.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if n == 0:
         return [] if dyck_mode else [""]
     length = period(m) * n

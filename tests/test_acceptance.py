@@ -6,12 +6,14 @@ stated wall-clock budgets are asserted alongside.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from math import comb
 from pathlib import Path
 
+import ffdyck
 from ffdyck.cli import main as cli_main
 from ffdyck.codes import build_code, verify_cross_bifix_free
 from ffdyck.counting import count_colored_dyck, count_d, count_u
@@ -22,6 +24,8 @@ from ffdyck.words import brute_enumerate_d, brute_enumerate_u, from_binary, valu
 from ffdyck.bell import binomial
 
 DATA = Path(__file__).parent / "data"
+# The child process imports the same ffdyck as this test, installed or not.
+PACKAGE_ROOT = str(Path(ffdyck.__file__).resolve().parent.parent)
 
 
 class criterion:
@@ -182,11 +186,14 @@ def test_criterion_9_series_identities():
 
 
 def test_criterion_10_full_selfcheck_command():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     with criterion("10 selfcheck --level full passes with zero failures"):
         result = subprocess.run(
             [sys.executable, "-m", "ffdyck", "selfcheck", "--level", "full"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "FAIL" not in result.stdout

@@ -118,10 +118,28 @@ def test_exact_division_guard():
         _exact_div(7, 3, "must fail")
 
 
-def test_invalid_slope_rejected():
-    with pytest.raises(ValueError):
-        count_u(0, 1)
-    with pytest.raises(ValueError):
-        count_d(0, 1)
-    with pytest.raises(ValueError):
-        count_colored_dyck(0, 1)
+def test_counts_past_enumerable_sizes():
+    for m in (1, 2, 3):
+        assert count_u(m, 200) == count_colored_dyck(m, 200), m
+    catalan_199, catalan_200 = comb(398, 199) // 200, comb(400, 200) // 201
+    assert count_u(1, 200) == catalan_200
+    assert count_d(1, 200) == catalan_200 + catalan_199
+
+
+@pytest.mark.parametrize(
+    "counter, args, message",
+    [
+        pytest.param(count_u, (0, 1), "m must be >= 1", id="count_u-m"),
+        pytest.param(count_u, (2, -1), "n must be >= 0", id="count_u-n"),
+        pytest.param(count_d, (0, 1), "m must be >= 1", id="count_d-m"),
+        pytest.param(count_d, (2, -1), "n must be >= 0", id="count_d-n"),
+        pytest.param(count_colored_dyck, (0, 1), "m must be >= 1", id="colored-m"),
+        pytest.param(count_colored_dyck, (2, -1), "n must be >= 0", id="colored-n"),
+        pytest.param(u_odd_power_coeff, (0, 1, 0), "m must be >= 1", id="odd_power-m"),
+        pytest.param(u_odd_power_coeff, (2, -1, 0), "n must be >= 0", id="odd_power-n"),
+        pytest.param(count_u_slope52, (-1,), "n must be >= 0", id="slope52-n"),
+    ],
+)
+def test_invalid_input_rejected(counter, args, message):
+    with pytest.raises(ValueError, match=message):
+        counter(*args)

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from ffdyck import words
+from ffdyck.grammar import generate_d_words
 from ffdyck.words import (
     CapExceeded,
     brute_enumerate_d,
@@ -165,6 +166,14 @@ def test_d_split_valuations():
 def test_trivial_enumerations():
     assert brute_enumerate_u(1, 0) == [""]
     assert brute_enumerate_d(1, 0) == []
+
+
+@pytest.mark.parametrize(
+    "enumerate_words", [generate_d_words, brute_enumerate_d, brute_enumerate_u]
+)
+def test_zero_slope_rejected(enumerate_words):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        enumerate_words(0, 1)
 
 
 def test_cap_exceeded():
