@@ -3,9 +3,9 @@
 Exact membership predicates and enumeration for the factor-free Dyck
 language D and its core auxiliary language U over the alphabet {a, b} with
 valuations h(a) = 2m+1 and h(b) = -2, cross-validated three ways: closed
-Bell-polynomial formulas, truncated power-series fixed points, and pruned
-brute-force search.  Includes the slope-5/2 colored-tree bijection and
-cross-bifix-free binary code construction.
+Bell-polynomial formulas, truncated power series solved one coefficient at
+a time, and pruned brute-force search.  Includes the slope-5/2 colored-tree
+bijection and cross-bifix-free binary code construction.
 """
 
 from .bell import bell_partial, binomial

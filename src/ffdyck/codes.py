@@ -55,8 +55,15 @@ def verify_cross_bifix_free(
     Returns (True, None) on success, else (False, violation) with the
     lexicographically first violating triple (w1, w2, overlap length), where
     the length-`overlap` prefix of w1 equals a suffix of w2.
+
+    A set of all nonempty proper prefixes, probed with every nonempty suffix,
+    settles the verdict; the ordered scan for the first violating triple runs
+    only when that probe finds an overlap.
     """
     ordered = sorted(set(ws))
+    prefixes = {w[:k] for w in ordered for k in range(1, len(w))}
+    if not any(w[-k:] in prefixes for w in ordered for k in range(1, len(w) + 1)):
+        return True, None
     for w1 in ordered:
         for w2 in ordered:
             for k in range(1, min(len(w1) - 1, len(w2)) + 1):

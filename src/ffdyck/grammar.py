@@ -19,7 +19,7 @@ being silently hidden by a set union.
 
 from __future__ import annotations
 
-from .words import CapExceeded, brute_cap, period
+from .words import CapExceeded, brute_cap, check_args, period
 
 
 def _a_count(m: int, i: int, length: int) -> int | None:
@@ -85,8 +85,7 @@ class _Expander:
 
 def expand_l_words(m: int, i: int, length: int, cap: int | None = None) -> list[str]:
     """All words of the given length derivable from L_i, sorted."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_args(m)
     if not 1 <= i <= 2 * m + 1:
         raise ValueError(f"index i must lie in 1..{2 * m + 1}, got {i}")
     if length < 0:
@@ -98,6 +97,7 @@ def expand_l_words(m: int, i: int, length: int, cap: int | None = None) -> list[
 
 def generate_u_words(m: int, n: int, cap: int | None = None) -> list[str]:
     """All U-words of length (2m+3)n, from L_1 words with the a/b^m frame stripped."""
+    check_args(m, n)
     if n == 0:
         return [""]
     framed = expand_l_words(m, 1, period(m) * n + m + 1, cap=cap)
@@ -115,8 +115,7 @@ def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
 
     That rule is the general L_i rule at i = 0, so D expands as L_0.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_args(m, n)
     if n == 0:
         return []
     return sorted(_Expander(m, brute_cap(cap)).l_words(0, period(m) * n))

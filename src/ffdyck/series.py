@@ -8,17 +8,24 @@ one-letter-step system over the variable tau (one tau per letter) is
     L_{2m+1} = tau,  L_{2m} = tau^2 L_1,
     L_i = tau L_1 L_{i+1} + tau L_{i+2}   for 1 <= i <= 2m-1.
 
-All solvers run plain fixed-point iteration: every right-hand side carries a
-factor of the series variable, so each sweep settles one further coefficient.
-The substitution t = tau^(2m+3) is the explicit `inflate` operation, never an
-implicit reindexing.
+All solvers work online, one coefficient index at a time: every right-hand
+side carries a factor of the series variable, so the n-th coefficient of each
+unknown reads only coefficients below n.  The U solver keeps the coefficient
+lists of the powers U^e, e = 0..2m, and extends each power by one convolution
+with U per index, so a solve to order n costs O(m n^2) integer operations.
+The Series class below is the separate arithmetic that selfcheck uses to
+check the solutions against their equations.  The substitution
+t = tau^(2m+3) is the explicit `inflate` operation, never an implicit
+reindexing.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterator, Sequence
 
 from .bell import binomial
+from .words import check_args
 
 
 class Series:
@@ -138,39 +145,58 @@ class Series:
         return Series(cs)
 
 
+def _u_powers(m: int, order: int) -> list[list[int]]:
+    """Coefficients 0..order of U^e for e = 0..2m, solved one index at a time.
+
+    At index n the equation gives u_n = sum_j C(m+j, m-j) [t^(n-j)] U^(2j),
+    which reads only indices below n; then each power U^e, e >= 2, takes its
+    n-th coefficient from the convolution of U^(e-1) with U.
+    """
+    weights = [(j, binomial(m + j, m - j)) for j in range(1, m + 1)]
+    powers = [[1] + [0] * order] + [[1] for _ in range(2 * m)]
+    u = powers[1]
+    for n in range(1, order + 1):
+        u.append(sum(w * powers[2 * j][n - j] for j, w in weights if j <= n))
+        for e in range(2, 2 * m + 1):
+            powers[e].append(sum(map(mul, powers[e - 1], reversed(u))))
+    return powers
+
+
 def u_series(m: int, order: int) -> Series:
     """Counting series of U in t (one t per 2m+3 letters), to the given order."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    one = Series.one(order)
-    weights = [(j, binomial(m + j, m - j)) for j in range(1, m + 1)]
-    u = one
-    for _ in range(order):
-        acc = one
-        for j, w in weights:
-            acc = acc + (u ** (2 * j)).shift(j) * w
-        u = acc
-    return u
+    check_args(m, order)
+    return Series(_u_powers(m, order)[1])
 
 
 def d_series(m: int, order: int) -> Series:
-    """Counting series of D in t, evaluated from the U series."""
-    u = u_series(m, order)
-    acc = Series.one(order) + (u * u).shift(1)
-    for j in range(1, m + 1):
-        acc = acc + (u ** (2 * j - 1)).shift(j) * binomial(m + j - 1, m - j)
-    return acc
+    """Counting series of D in t, evaluated from the powers of the U series."""
+    check_args(m, order)
+    powers = _u_powers(m, order)
+    weights = [(j, binomial(m + j - 1, m - j)) for j in range(1, m + 1)]
+    coeffs = [1] + [
+        powers[2][n - 1]
+        + sum(w * powers[2 * j - 1][n - j] for j, w in weights if j <= n)
+        for n in range(1, order + 1)
+    ]
+    return Series(coeffs)
 
 
 def l_series(m: int, i: int, order: int) -> Series:
-    """Series in tau of the i-th one-letter-step language, 1 <= i <= 2m+1."""
-    if not 1 <= i <= 2 * m + 1:
-        raise ValueError(f"index i must lie in 1..{2 * m + 1}, got {i}")
-    tau = Series.monomial(1, order)
-    ls: dict[int, Series] = {k: Series.zero(order) for k in range(1, 2 * m + 2)}
-    for _ in range(order + 1):
-        new = {2 * m + 1: tau, 2 * m: tau * tau * ls[1]}
-        for k in range(1, 2 * m):
-            new[k] = tau * ls[1] * ls[k + 1] + tau * ls[k + 2]
-        ls = new
-    return ls[i]
+    """Series in tau of the i-th one-letter-step language, 1 <= i <= 2m+1.
+
+    At each index n the unknowns are filled from L_{2m+1} down to L_1; every
+    right-hand side reads only coefficients below n.
+    """
+    check_args(m, order)
+    top = 2 * m + 1
+    if not 1 <= i <= top:
+        raise ValueError(f"index i must lie in 1..{top}, got {i}")
+    ls = [[0] for _ in range(top + 1)]
+    l1 = ls[1]
+    for n in range(1, order + 1):
+        ls[top].append(1 if n == 1 else 0)
+        ls[top - 1].append(l1[n - 2] if n >= 2 else 0)
+        for k in range(top - 2, 0, -1):
+            after = ls[k + 1]
+            ls[k].append(sum(map(mul, l1, after[n - 1 :: -1])) + ls[k + 2][n - 1])
+    return Series(ls[i])

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterator
 
-from .words import CapExceeded, brute_cap, is_in_u
+from .words import CapExceeded, brute_cap, check_args, is_in_u
 
 COLORS = ("blue", "red", "green")
 
@@ -295,8 +295,7 @@ def _trees_with_edges(edges: int) -> tuple[ColoredTree, ...]:
 
 def enumerate_trees(n: int, cap: int | None = None) -> list[ColoredTree]:
     """All colored trees with 2n edges, sorted by canonical rendering."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_args(2, n)
     if 20**n > brute_cap(cap):
         raise CapExceeded(f"tree count near 20^{n} exceeds the brute-force cap")
     return list(_trees_with_edges(2 * n))

@@ -49,6 +49,14 @@ def brute_cap(override: int | None = None) -> int:
         raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
+def check_args(m: int, n: int = 0) -> None:
+    """The library's input contract for a slope m and a size n: m >= 1, n >= 0."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+
 def period(m: int) -> int:
     """Common length unit 2m+3 of nonempty words in U and D."""
     return 2 * m + 3
@@ -82,6 +90,7 @@ def prefix_profile(word: str, m: int) -> list[int]:
 
 def is_dyck(word: str, m: int) -> bool:
     """Total valuation 0 and no prefix valuation below 0."""
+    check_args(m)
     rise = 2 * m + 1
     h = 0
     for c in word:
@@ -115,6 +124,7 @@ def is_factor_free(word: str, m: int) -> bool:
     above it, and a tie with the new top is a Dyck factor.  The single tie
     allowed is the whole word (start 0, end len(word)).
     """
+    check_args(m)
     stack = None
     for j, h in enumerate(prefix_profile(word, m)):
         stack, start = _dyck_factor_start(stack, h, j)
@@ -138,6 +148,7 @@ def is_in_u(word: str, m: int) -> bool:
     itself and additionally rejects words with a suffix that completes to a
     Dyck factor using 1..m of the closing b's.
     """
+    check_args(m)
     if not word:
         return True
     prof = prefix_profile(word, m)
@@ -163,6 +174,7 @@ def is_in_u_lattice(word: str, m: int) -> bool:
     (such a tail closes into a Dyck factor once up to m north steps are
     appended).
     """
+    check_args(m)
     if not word:
         return True
     pts = [(0, 0)]
@@ -228,8 +240,7 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
     visible levels, so backtracking needs no undo.  Every surviving candidate
     is re-checked with the full membership predicate before being emitted.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_args(m, n)
     if n == 0:
         return [] if dyck_mode else [""]
     length = period(m) * n

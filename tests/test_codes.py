@@ -1,6 +1,7 @@
 """Cross-bifix-free code construction and verification."""
 
 import json
+import random
 from pathlib import Path
 
 from ffdyck.codes import build_code, verify_cross_bifix_free
@@ -83,3 +84,27 @@ def test_verifier_self_pair_bifix():
     ok, violation = verify_cross_bifix_free(["0110"])
     assert not ok
     assert violation == ("0110", "0110", 1)
+
+
+def naive_first_overlap(ws):
+    ordered = sorted(set(ws))
+    for w1 in ordered:
+        for w2 in ordered:
+            for k in range(1, min(len(w1) - 1, len(w2)) + 1):
+                if w1[:k] == w2[-k:]:
+                    return False, (w1, w2, k)
+    return True, None
+
+
+def test_verifier_matches_naive_triple_scan():
+    rng = random.Random(2018)
+    pool = list(build_code(1, 3).words) + list(build_code(2, 2).words)
+    verdicts = set()
+    for _ in range(300):
+        ws = rng.sample(pool, rng.randint(0, 8))
+        if rng.random() < 0.5:
+            ws.append("".join(rng.choice("01") for _ in range(rng.randint(1, 7))))
+        want = naive_first_overlap(ws)
+        assert verify_cross_bifix_free(ws) == want, ws
+        verdicts.add(want[0])
+    assert verdicts == {True, False}

@@ -14,7 +14,7 @@ from ffdyck.counting import (
     count_u_slope52,
     u_odd_power_coeff,
 )
-from ffdyck.series import d_series, u_series
+from ffdyck.series import d_series, l_series, u_series
 from ffdyck.words import brute_enumerate_d, brute_enumerate_u
 
 U_SLOPE52 = [3, 19, 153, 1390, 13581, 139315, 1479855]
@@ -120,7 +120,13 @@ def test_exact_division_guard():
 
 def test_counts_past_enumerable_sizes():
     for m in (1, 2, 3):
-        assert count_u(m, 200) == count_colored_dyck(m, 200), m
+        u200 = count_u(m, 200)
+        assert u_series(m, 200)[200] == u200 == count_colored_dyck(m, 200), m
+        assert d_series(m, 200)[200] == count_d(m, 200), m
+    # blocks of up to 2m+1 = 11 steps meet the height bound near both ends
+    for m in (4, 5):
+        for n in range(31):
+            assert count_colored_dyck(m, n) == count_u(m, n), (m, n)
     catalan_199, catalan_200 = comb(398, 199) // 200, comb(400, 200) // 201
     assert count_u(1, 200) == catalan_200
     assert count_d(1, 200) == catalan_200 + catalan_199
@@ -138,6 +144,10 @@ def test_counts_past_enumerable_sizes():
         pytest.param(u_odd_power_coeff, (0, 1, 0), "m must be >= 1", id="odd_power-m"),
         pytest.param(u_odd_power_coeff, (2, -1, 0), "n must be >= 0", id="odd_power-n"),
         pytest.param(count_u_slope52, (-1,), "n must be >= 0", id="slope52-n"),
+        pytest.param(u_series, (2, -1), "n must be >= 0", id="u_series-n"),
+        pytest.param(d_series, (2, -1), "n must be >= 0", id="d_series-n"),
+        pytest.param(l_series, (2, 1, -1), "n must be >= 0", id="l_series-n"),
+        pytest.param(l_series, (0, 1, 3), "m must be >= 1", id="l_series-m"),
     ],
 )
 def test_invalid_input_rejected(counter, args, message):

@@ -1,4 +1,4 @@
-"""Truncated series arithmetic and the generating-function fixed points."""
+"""Truncated series arithmetic and the generating-function solvers."""
 
 import pytest
 

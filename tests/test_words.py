@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from ffdyck import words
-from ffdyck.grammar import generate_d_words
+from ffdyck.grammar import generate_d_words, generate_u_words
 from ffdyck.words import (
     CapExceeded,
     brute_enumerate_d,
@@ -174,6 +174,30 @@ def test_trivial_enumerations():
 def test_zero_slope_rejected(enumerate_words):
     with pytest.raises(ValueError, match="m must be >= 1"):
         enumerate_words(0, 1)
+
+
+@pytest.mark.parametrize(
+    "enumerate_words",
+    [generate_u_words, generate_d_words, brute_enumerate_d, brute_enumerate_u],
+)
+def test_negative_size_rejected(enumerate_words):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        enumerate_words(2, -1)
+
+
+@pytest.mark.parametrize(
+    "predicate, word",
+    [
+        (is_in_u, ""),
+        (is_in_d, "aab"),
+        (is_factor_free, "aab"),
+        (is_dyck, "aab"),
+        (is_in_u_lattice, ""),
+    ],
+)
+def test_predicates_reject_zero_slope(predicate, word):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        predicate(word, 0)
 
 
 def test_cap_exceeded():
