@@ -85,11 +85,9 @@ class _Expander:
 
 def expand_l_words(m: int, i: int, length: int, cap: int | None = None) -> list[str]:
     """All words of the given length derivable from L_i, sorted."""
-    check_args(m)
+    check_args(m, length)
     if not 1 <= i <= 2 * m + 1:
         raise ValueError(f"index i must lie in 1..{2 * m + 1}, got {i}")
-    if length < 0:
-        return []
     if _a_count(m, i, length) is None:
         return []
     return sorted(_Expander(m, brute_cap(cap)).l_words(i, length))
@@ -131,6 +129,7 @@ def primitive_u_words(m: int, j: int, cap: int | None = None) -> list[str]:
     nonempty U-word; what survives is the set of building blocks.  There are
     C(m+j, m-j) of them at length (2m+3)j.
     """
+    check_args(m)
     if not 1 <= j <= m:
         raise ValueError(f"primitive words exist for 1 <= j <= m, got j={j}")
     per = period(m)

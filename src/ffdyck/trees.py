@@ -30,7 +30,6 @@ the parse is deterministic; round-trip tests over every word of lengths 7,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Iterator
 
 from .words import CapExceeded, brute_cap, check_args, is_in_u
@@ -269,14 +268,14 @@ def word_to_tree(word: str) -> ColoredTree:
     return root.freeze()
 
 
-@lru_cache(maxsize=None)
-def _trees_with_edges(edges: int) -> tuple[ColoredTree, ...]:
-    if edges == 0:
-        return (LEAF,)
+def _trees_with_edges(
+    edges: int, smaller: dict[int, tuple[ColoredTree, ...]]
+) -> tuple[ColoredTree, ...]:
+    """Trees with `edges` >= 2 edges, sorted; smaller[e] holds those with e < edges."""
     out: list[ColoredTree] = []
     for left in range(0, edges - 2 + 1, 2):
-        for t1 in _trees_with_edges(left):
-            for t2 in _trees_with_edges(edges - 2 - left):
+        for t1 in smaller[left]:
+            for t2 in smaller[edges - 2 - left]:
                 for color in COLORS:
                     out.append(ColoredTree(color, (t1, t2)))
     if edges >= 4:
@@ -285,17 +284,23 @@ def _trees_with_edges(edges: int) -> tuple[ColoredTree, ...]:
             for e2 in range(0, budget - e1 + 1, 2):
                 for e3 in range(0, budget - e1 - e2 + 1, 2):
                     e4 = budget - e1 - e2 - e3
-                    for t1 in _trees_with_edges(e1):
-                        for t2 in _trees_with_edges(e2):
-                            for t3 in _trees_with_edges(e3):
-                                for t4 in _trees_with_edges(e4):
+                    for t1 in smaller[e1]:
+                        for t2 in smaller[e2]:
+                            for t3 in smaller[e3]:
+                                for t4 in smaller[e4]:
                                     out.append(ColoredTree(None, (t1, t2, t3, t4)))
     return tuple(sorted(out, key=ColoredTree.canonical))
 
 
 def enumerate_trees(n: int, cap: int | None = None) -> list[ColoredTree]:
-    """All colored trees with 2n edges, sorted by canonical rendering."""
+    """All colored trees with 2n edges, sorted by canonical rendering.
+
+    The table of smaller trees lives for this call only.
+    """
     check_args(2, n)
     if 20**n > brute_cap(cap):
         raise CapExceeded(f"tree count near 20^{n} exceeds the brute-force cap")
-    return list(_trees_with_edges(2 * n))
+    by_edges = {0: (LEAF,)}
+    for edges in range(2, 2 * n + 1, 2):
+        by_edges[edges] = _trees_with_edges(edges, by_edges)
+    return list(by_edges[2 * n])

@@ -57,6 +57,14 @@ def check_args(m: int, n: int = 0) -> None:
         raise ValueError("n must be >= 0")
 
 
+def check_word(word: str) -> None:
+    """The input contract for a word: letters a and b only."""
+    # one C-level pass: every letter outside ASCII encodes as "?"
+    if word.encode("ascii", "replace").translate(None, b"ab"):
+        stray = next(c for c in word if c not in "ab")
+        raise ValueError(f"word must be over {{a, b}}, got letter {stray!r}")
+
+
 def period(m: int) -> int:
     """Common length unit 2m+3 of nonempty words in U and D."""
     return 2 * m + 3
@@ -74,11 +82,15 @@ def from_binary(word: str) -> str:
 
 def valuation(word: str, m: int) -> int:
     """Total valuation (#a)*(2m+1) - 2*(#b)."""
+    check_args(m)
+    check_word(word)
     return (2 * m + 1) * word.count("a") - 2 * word.count("b")
 
 
 def prefix_profile(word: str, m: int) -> list[int]:
     """Valuations of all prefixes; entry i is the valuation of word[:i]."""
+    check_args(m)
+    check_word(word)
     rise = 2 * m + 1
     values = [0]
     h = 0
@@ -91,6 +103,7 @@ def prefix_profile(word: str, m: int) -> list[int]:
 def is_dyck(word: str, m: int) -> bool:
     """Total valuation 0 and no prefix valuation below 0."""
     check_args(m)
+    check_word(word)
     rise = 2 * m + 1
     h = 0
     for c in word:
@@ -125,6 +138,7 @@ def is_factor_free(word: str, m: int) -> bool:
     allowed is the whole word (start 0, end len(word)).
     """
     check_args(m)
+    check_word(word)
     stack = None
     for j, h in enumerate(prefix_profile(word, m)):
         stack, start = _dyck_factor_start(stack, h, j)
@@ -149,6 +163,7 @@ def is_in_u(word: str, m: int) -> bool:
     Dyck factor using 1..m of the closing b's.
     """
     check_args(m)
+    check_word(word)
     if not word:
         return True
     prof = prefix_profile(word, m)
@@ -175,6 +190,7 @@ def is_in_u_lattice(word: str, m: int) -> bool:
     appended).
     """
     check_args(m)
+    check_word(word)
     if not word:
         return True
     pts = [(0, 0)]
@@ -237,8 +253,24 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
     mode, > -2m in U mode) or that already contain a nonempty Dyck factor
     ending at the current position; such a factor is proper in any completed
     word extending the prefix.  Each node carries its own persistent stack of
-    visible levels, so backtracking needs no undo.  Every surviving candidate
-    is re-checked with the full membership predicate before being emitted.
+    visible levels, so backtracking needs no undo.  Two more prunes read that
+    stack; neither cuts a prefix that some member extends:
+
+    - All-b tail.  Once no a is left, the rest is b^rem_b from the top level
+      2*rem_b, and it lands on every even level below the top: down to 2 in
+      D (the step onto 0 closes the whole word) and down to -2m in U (the
+      frame's b^m continues the descent).  A visible level there that is
+      even is a tie.  In U the start level 0 stays visible until some prefix
+      dips below 0, so the same test demands that dip.
+    - Buried pair.  A descent moves down by 2, so a path that falls below
+      adjacent visible levels v, v+1 first lands on one of them, a tie.
+      Every word falls below both before it ends (to 0 in D, to -2m with the
+      frame in U), so the a step that buries such a pair under the new top
+      is dead; only a steps bury levels.  D spares the pair (0, 1): only its
+      closing step passes it, and that tie is the whole word.
+
+    Every surviving candidate is re-checked with the full membership
+    predicate before being emitted.
     """
     check_args(m, n)
     if n == 0:
@@ -248,31 +280,36 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
     _check_cap(length, n_a, cap)
     rise = 2 * m + 1
     floor = 0 if dyck_mode else 1 - 2 * m
+    tail_floor = 2 if dyck_mode else -2 * m
     accept = is_in_d if dyck_mode else is_in_u
 
     out: list[str] = []
     letters: list[str] = []
 
-    def extend(stack: tuple, c: str, rem_a: int, rem_b: int) -> None:
-        h = stack[0] + (rise if c == "a" else -2)
-        if h < floor:
-            return
-        letters.append(c)
-        stack, start = _dyck_factor_start(stack, h, len(letters))
-        if len(letters) == length or start is None:
-            walk(stack, rem_a, rem_b)
-        letters.pop()
-
     def walk(stack: tuple, rem_a: int, rem_b: int) -> None:
-        if rem_a == 0 and rem_b == 0:
-            word = "".join(letters)
+        if rem_a == 0:
+            # the all-b tail: no visible even level between the floor and the top
+            node = stack[2]
+            while node is not None and node[0] >= tail_floor:
+                if node[0] % 2 == 0:
+                    return
+                node = node[2]
+            word = "".join(letters) + "b" * rem_b
             if accept(word, m):
                 out.append(word)
             return
-        if rem_a:
-            extend(stack, "a", rem_a - 1, rem_b)
-        if rem_b:
-            extend(stack, "b", rem_a, rem_b - 1)
+        top, _, below = stack
+        # an a step buries the pair (top - 1, top) if both are visible
+        if below is None or below[0] != top - 1 or (dyck_mode and top == 1):
+            letters.append("a")
+            walk(_dyck_factor_start(stack, top + rise, len(letters))[0], rem_a - 1, rem_b)
+            letters.pop()
+        if rem_b and top - 2 >= floor:
+            letters.append("b")
+            after, start = _dyck_factor_start(stack, top - 2, len(letters))
+            if start is None:
+                walk(after, rem_a, rem_b - 1)
+            letters.pop()
 
     walk((0, 0, None), n_a, n_b)
     return sorted(out)

@@ -14,6 +14,7 @@ from ffdyck.counting import (
     count_u_slope52,
     u_odd_power_coeff,
 )
+from ffdyck.grammar import expand_l_words
 from ffdyck.series import d_series, l_series, u_series
 from ffdyck.words import brute_enumerate_d, brute_enumerate_u
 
@@ -148,6 +149,7 @@ def test_counts_past_enumerable_sizes():
         pytest.param(d_series, (2, -1), "n must be >= 0", id="d_series-n"),
         pytest.param(l_series, (2, 1, -1), "n must be >= 0", id="l_series-n"),
         pytest.param(l_series, (0, 1, 3), "m must be >= 1", id="l_series-m"),
+        pytest.param(expand_l_words, (2, 1, -5), "n must be >= 0", id="expand_l_words-n"),
     ],
 )
 def test_invalid_input_rejected(counter, args, message):

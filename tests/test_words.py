@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from ffdyck import words
-from ffdyck.grammar import generate_d_words, generate_u_words
+from ffdyck.grammar import generate_d_words, generate_u_words, primitive_u_words
 from ffdyck.words import (
     CapExceeded,
     brute_enumerate_d,
@@ -128,7 +128,7 @@ def test_brute_enumerate_d_examples():
 
 def test_brute_enumerators_match_naive_filter():
     # the pruned search must equal a dumb scan over all letter arrangements
-    for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
+    for m, n in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2)]:
         length = (2 * m + 3) * n
         n_a = 2 * n
         naive_u, naive_d = [], []
@@ -143,6 +143,21 @@ def test_brute_enumerators_match_naive_filter():
                 naive_d.append(w)
         assert brute_enumerate_u(m, n) == sorted(naive_u), (m, n)
         assert brute_enumerate_d(m, n) == sorted(naive_d), (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
+def test_brute_search_rechecks_only_members(monkeypatch, m, n):
+    # the prunes are exact: every candidate the search re-checks is a member
+    rechecked = []
+    for name in ("is_in_u", "is_in_d"):
+
+        def spy(word, slope, predicate=getattr(words, name)):
+            rechecked.append(word)
+            return predicate(word, slope)
+
+        monkeypatch.setattr(words, name, spy)
+    found = brute_enumerate_u(m, n) + brute_enumerate_d(m, n)
+    assert len(rechecked) == len(found)
 
 
 def test_enumerated_u_words_shape():
@@ -169,7 +184,8 @@ def test_trivial_enumerations():
 
 
 @pytest.mark.parametrize(
-    "enumerate_words", [generate_d_words, brute_enumerate_d, brute_enumerate_u]
+    "enumerate_words",
+    [generate_d_words, brute_enumerate_d, brute_enumerate_u, primitive_u_words],
 )
 def test_zero_slope_rejected(enumerate_words):
     with pytest.raises(ValueError, match="m must be >= 1"):
@@ -193,11 +209,23 @@ def test_negative_size_rejected(enumerate_words):
         (is_factor_free, "aab"),
         (is_dyck, "aab"),
         (is_in_u_lattice, ""),
+        (valuation, "ab"),
+        (prefix_profile, "ab"),
     ],
 )
 def test_predicates_reject_zero_slope(predicate, word):
     with pytest.raises(ValueError, match="m must be >= 1"):
         predicate(word, 0)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [valuation, prefix_profile, is_dyck, is_factor_free, is_in_u, is_in_u_lattice],
+)
+def test_letters_outside_ab_rejected(check):
+    for word, stray in (("abxab", "x"), ("abbaé", "é")):
+        with pytest.raises(ValueError, match=f"got letter '{stray}'"):
+            check(word, 1)
 
 
 def test_cap_exceeded():
