@@ -4,7 +4,10 @@ Subcommands: count, generate, verify, tree, codes, selfcheck.  Output is
 deterministic for identical invocations and all word lists are sorted.
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid arguments or a
 non-integer DYCK_BRUTE_CAP, 3 brute force cap exceeded (cap configurable via
-the DYCK_BRUTE_CAP variable).
+the DYCK_BRUTE_CAP variable).  Values are checked by the library's input
+contract, not here: main turns its ValueError into exit 2 and one "error:"
+line on stderr, and the CLI's own rules (--n-max >= 1, a word over 01 for
+--alphabet 01) raise the same way.
 """
 
 from __future__ import annotations
@@ -80,20 +83,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_slope(parser: argparse.ArgumentParser, m: int) -> None:
-    if m < 1:
-        parser.error(f"--m must be >= 1, got {m}")
-
-
-def _read_word(parser: argparse.ArgumentParser, word: str, alphabet: str) -> str:
-    allowed = set(alphabet)
-    bad = set(word) - allowed
+def _read_word(word: str, alphabet: str) -> str:
+    """The word in the ab alphabet; the library checks ab words itself."""
+    if alphabet == "ab":
+        return word
+    bad = set(word) - set(alphabet)
     if bad:
-        parser.error(
+        raise ValueError(
             f"word contains letters outside the {alphabet!r} alphabet: "
             f"{''.join(sorted(bad))!r}"
         )
-    return words.from_binary(word) if alphabet == "01" else word
+    return words.from_binary(word)
 
 
 _COUNTERS = {
@@ -108,9 +108,6 @@ _COUNTERS = {
 
 
 def _cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require_slope(parser, args.m)
-    if args.n < 0:
-        parser.error("--n must be >= 0")
     count = _COUNTERS.get((args.language, args.method))
     if count is None:
         parser.error(f"--method {args.method} applies to --language U only")
@@ -119,9 +116,6 @@ def _cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require_slope(parser, args.m)
-    if args.n < 0:
-        parser.error("--n must be >= 0")
     gen = grammar.generate_u_words if args.language == "U" else grammar.generate_d_words
     out = gen(args.m, args.n)
     if args.alphabet == "01":
@@ -135,8 +129,7 @@ def _cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require_slope(parser, args.m)
-    word = _read_word(parser, args.word, args.alphabet)
+    word = _read_word(args.word, args.alphabet)
     profile = words.prefix_profile(word, args.m)
     report = {
         "valuation": profile[-1],
@@ -152,9 +145,8 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 def _cmd_tree(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.encode is not None:
-        word = _read_word(parser, args.encode, "ab")
         try:
-            tree = trees.word_to_tree(word)
+            tree = trees.word_to_tree(args.encode)
         except (trees.NotInU, trees.MalformedTraversal) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -175,9 +167,8 @@ def _cmd_tree(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _cmd_codes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require_slope(parser, args.m)
     if args.n_max < 1:
-        parser.error("--n-max must be >= 1")
+        raise ValueError("--n-max must be >= 1")
     code = codes.build_code(args.m, args.n_max)
     if args.format == "json":
         print(json.dumps(code.to_json_obj()))
@@ -202,11 +193,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         words.brute_cap()
+        return args.func(parser, args)
     except ValueError as exc:
+        # the library's input contract and the CLI's own value rules
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return args.func(parser, args)
     except words.CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

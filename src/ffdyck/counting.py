@@ -6,7 +6,11 @@ row of one Bell table.  count_u is the l = 0 case of that formula, and count_d
 sums such coefficients over l, reading every row it needs from one table.
 count_colored_dyck is a deliberately independent dynamic program over
 colored classical Dyck paths; it shares no code with the Bell formula or the
-series solvers so it can serve as an oracle for both.
+series solvers so it can serve as an oracle for both.  It advances one block
+(a maximal ascent with the down step that ends it) per row, keeps only the
+heights of the row's parity from which the path can still return to 0, and
+builds each row from shifted slices of the last one with C-level `map`
+passes.
 
 Rational prefactors are evaluated as integer division with an exactness
 check; an inexact division means a transcription bug, never bad input.
@@ -14,7 +18,9 @@ check; an inexact division means a transcription bug, never bad input.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import comb, factorial
+from operator import add, mul
 
 from .bell import bell_table
 from .words import check_args
@@ -107,36 +113,37 @@ def count_colored_dyck(m: int, n: int) -> int:
     """Colored-Dyck-path count of U-words, independent of the Bell formula.
 
     Counts classical Dyck paths of semilength 2n assembled from the blocks
-    "d" and "u^(2j) d" for j = 1..m, where each maximal ascent of length 2j
-    may be colored in C(m+j, m-j) ways.  Dynamic programming over (steps
-    consumed, height); block boundaries keep ascent maximality implicit since
-    every ascent block ends with a down step.
+    "d" (j = 0) and "u^(2j) d" for j = 1..m, where each maximal ascent of
+    length 2j may be colored in C(m+j, m-j) ways.  Every block ends with its
+    one down step, so ascents are maximal without further bookkeeping, a
+    path has exactly 2n blocks, and its lowest points are block ends.  Block
+    by block the path is a walk with steps 2j - 1 in {-1, +1, +3, ...,
+    2m - 1} from height 0 back to 0 that never goes below 0 (a Lukasiewicz
+    path).
 
-    Only cells that can still reach the end are visited: after s of the 4n
-    steps the height is at most min(s, 4n - s), since the path must come back
-    down in the steps that remain, and a block is added only if it lands
-    within that bound.  Every block keeps s + h fixed mod 4, so row s visits
-    only the heights h = -s (mod 4).  Each row is released once its cells
-    have been pushed forward.
+    The DP has one row per block boundary, rows 0..2n.  Row k keeps only
+    the heights a walk can have after k blocks and still come back: every
+    step is odd, so h has the parity of k; each of the 2n - k blocks left
+    goes down by at most 1, so h <= 2n - k.  Entry i of row k is height
+    k % 2 + 2i, and a block of ascent 2j moves entry i + s - j of row k to
+    entry i of row k + 1, where s = (k + 1) % 2.  So the next row is the sum
+    of m + 1 shifted slices of the current one, each times its weight.  The
+    sum is built from chained `map(add, ...)` and `map(mul, ...)` calls that
+    one `list` call runs in C, with no per-cell bytecode, bound test or
+    double indexing.  Slices reaching below height 0 read the m zeros padded
+    in front; the bound 2n - k keeps every slice inside the row at the top.
     """
     check_args(m, n)
-    if n == 0:
-        return 1
-    steps = 4 * n
-    blocks = [(2 * j + 1, 2 * j - 1, comb(m + j, m - j)) for j in range(1, m + 1)]
-    table = [[0] * (min(s, steps - s) + 1) for s in range(steps + 1)]
-    table[0][0] = 1
-    for s in range(steps):
-        row, table[s] = table[s], None
-        down = table[s + 1]
-        for h in range(-s % 4, len(row), 4):
-            w = row[h]
-            if not w:
-                continue
-            if h:
-                down[h - 1] += w
-            for ds, dh, weight in blocks:
-                if s + ds + h + dh > steps:
-                    break
-                table[s + ds][h + dh] += w * weight
-    return table[steps][0]
+    weights = [comb(m + j, m - j) for j in range(1, m + 1)]
+    pad = [0] * m
+    row = [1] + [0] * n  # heights 0, 2, ..., 2n
+    for k in range(2 * n):
+        s = 1 - k % 2
+        size = (2 * n - k - 1 - s) // 2 + 1  # heights s + 2i <= 2n - k - 1
+        padded = pad + row
+        acc = padded[m + s : m + s + size]
+        for j, weight in enumerate(weights, 1):
+            seg = padded[m + s - j : m + s - j + size]
+            acc = map(add, acc, map(mul, seg, repeat(weight)))
+        row = list(acc)
+    return row[0]

@@ -161,18 +161,39 @@ def is_in_u(word: str, m: int) -> bool:
     factor-free.  The frame check subsumes factor-freeness of the word
     itself and additionally rejects words with a suffix that completes to a
     Dyck factor using 1..m of the closing b's.
+
+    One scan of the framed word serves every condition.  The frame's a lifts
+    each prefix of the word by 2m+1, so the band reads 1 < h and the dip
+    reads min h < 2m+1 on the framed levels h, and the visible-level stack
+    of is_factor_free runs alongside.  The framed word ends at level 1, so
+    any tie with a visible level is a proper Dyck factor.
     """
     check_args(m)
     check_word(word)
     if not word:
         return True
-    prof = prefix_profile(word, m)
-    if prof[-1] != 0:
+    rise = 2 * m + 1
+    if rise * word.count("a") != 2 * word.count("b"):
         return False
-    lo = min(prof)
-    if not -2 * m < lo < 0:
+    h = lo = rise
+    stack = (rise, 1, (0, 0, None))
+    for j, c in enumerate(word, 2):
+        h += rise if c == "a" else -2
+        if h < lo:
+            if h <= 1:
+                return False
+            lo = h
+        stack, start = _dyck_factor_start(stack, h, j)
+        if start is not None:
+            return False
+    if lo == rise:
         return False
-    return is_factor_free("a" + word + "b" * m, m)
+    for j in range(len(word) + 2, len(word) + 2 + m):
+        h -= 2
+        stack, start = _dyck_factor_start(stack, h, j)
+        if start is not None:
+            return False
+    return True
 
 
 def is_in_u_lattice(word: str, m: int) -> bool:

@@ -106,12 +106,6 @@ def test_verify_all_b_word(capsys):
     assert report["valuation"] == -14 and report["in_U"] is False
 
 
-def test_verify_alphabet_violation_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        run_cli(capsys, "verify", "--m", "1", "--word", "0a1")
-    assert err.value.code == 2
-
-
 def test_tree_encode(capsys):
     code, out, _ = run_cli(capsys, "tree", "--encode", "babbbab")
     assert code == 0
@@ -189,7 +183,38 @@ def test_selfcheck_quick(capsys):
     assert "all checks passed" in lines[-1]
 
 
-def test_bad_arguments_exit_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        run_cli(capsys, "count", "--m", "0", "--n", "1", "--language", "U")
-    assert err.value.code == 2
+@pytest.mark.parametrize(
+    "argv, env, want",
+    [
+        pytest.param("count --m 0 --n 1 --language U", {}, 2, id="count-m0"),
+        pytest.param("generate --m 0 --n 1 --language D", {}, 2, id="generate-m0"),
+        pytest.param("verify --m 0 --word abbab", {}, 2, id="verify-m0"),
+        pytest.param("codes --m 0 --n-max 1", {}, 2, id="codes-m0"),
+        pytest.param("codes --m 1 --n-max 0", {}, 2, id="codes-n-max0"),
+        pytest.param("count --m 2 --n -1 --language D", {}, 2, id="count-n-1"),
+        pytest.param("generate --m 2 --n -1 --language U", {}, 2, id="generate-n-1"),
+        pytest.param("verify --m 1 --word 0a1", {}, 2, id="verify-ab"),
+        pytest.param("verify --m 1 --word 0a1 --alphabet 01", {}, 2, id="verify-01"),
+        pytest.param("tree --encode 0a1", {}, 2, id="tree-encode"),
+        pytest.param(
+            "count --m 1 --n 2 --language U --method brute",
+            {"DYCK_BRUTE_CAP": "1"},
+            3,
+            id="brute-past-cap",
+        ),
+        pytest.param(
+            "count --m 1 --n 2 --language D --method brute",
+            {"DYCK_BRUTE_CAP": "1.5"},
+            2,
+            id="cap-not-integer",
+        ),
+    ],
+)
+def test_hostile_argv(capsys, monkeypatch, argv, env, want):
+    # main returns the exit code itself: any exception, SystemExit included,
+    # escaping it fails the test
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == want and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

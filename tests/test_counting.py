@@ -96,6 +96,33 @@ def test_colored_dyck_examples():
         assert count_colored_dyck(1, n) == count_u(1, n)
 
 
+def step_by_step_colored_dyck(m, n):
+    """The colored-Dyck DP over single steps, one row per step of 4n."""
+    steps = 4 * n
+    blocks = [(2 * j + 1, 2 * j - 1, comb(m + j, m - j)) for j in range(1, m + 1)]
+    table = [[0] * (steps + 1) for _ in range(steps + 1)]
+    table[0][0] = 1
+    for s in range(steps):
+        for h, w in enumerate(table[s]):
+            if not w:
+                continue
+            if h:
+                table[s + 1][h - 1] += w
+            for ds, dh, weight in blocks:
+                if s + ds <= steps and h + dh <= steps:
+                    table[s + ds][h + dh] += w * weight
+    return table[steps][0]
+
+
+@pytest.mark.parametrize(
+    "m, n_max", [(1, 40), (2, 40), (3, 40), (4, 40), (5, 40), (7, 6), (8, 6)]
+)
+def test_block_rows_match_step_by_step_dp(m, n_max):
+    # with m > n the front padding is longer than a row: whole slices read zeros
+    for n in range(n_max + 1):
+        assert count_colored_dyck(m, n) == step_by_step_colored_dyck(m, n), n
+
+
 def test_three_way_agreement():
     for m in (1, 2, 3):
         useries = u_series(m, 20)
@@ -128,6 +155,7 @@ def test_counts_past_enumerable_sizes():
     for m in (4, 5):
         for n in range(31):
             assert count_colored_dyck(m, n) == count_u(m, n), (m, n)
+    assert count_colored_dyck(3, 400) == count_u(3, 400)
     catalan_199, catalan_200 = comb(398, 199) // 200, comb(400, 200) // 201
     assert count_u(1, 200) == catalan_200
     assert count_d(1, 200) == catalan_200 + catalan_199

@@ -102,6 +102,26 @@ def test_is_in_u_rejects_frame_straddling_suffixes():
         assert not is_in_u(w, 2)
 
 
+def test_one_pass_is_in_u_matches_profile_formulation():
+    def profile_is_in_u(word, m):
+        # reference: the whole prefix profile, then the framed factor check
+        if not word:
+            return True
+        prof = prefix_profile(word, m)
+        if prof[-1] != 0 or not -2 * m < min(prof) < 0:
+            return False
+        return is_factor_free("a" + word + "b" * m, m)
+
+    for m in (1, 2, 3):
+        for w in all_words(12):
+            assert is_in_u(w, m) == profile_is_in_u(w, m), (w, m)
+    chain = "ba" * 1200 + "bbbab" * 1200  # the word of a 1200-deep blue chain
+    assert is_in_u(chain, 2) and profile_is_in_u(chain, 2)
+    for i in (0, 1, 2399, 2400, 4500, 8398):
+        swapped = chain[:i] + chain[i + 1] + chain[i] + chain[i + 2 :]
+        assert is_in_u(swapped, 2) == profile_is_in_u(swapped, 2), i
+
+
 def test_lattice_reading_agrees_with_membership():
     for m in (1, 2):
         for w in all_words(2 * m + 10):
