@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 selfcheck failure, 2 invalid arguments or a
 non-integer DYCK_BRUTE_CAP, 3 brute force cap exceeded (cap configurable via
 the DYCK_BRUTE_CAP variable).  Values are checked by the library's input
 contract, not here: main turns its ValueError into exit 2 and one "error:"
-line on stderr, and the CLI's own rules (--n-max >= 1, a word over 01 for
---alphabet 01) raise the same way.
+line on stderr.  That covers tree input too: a word outside U for --encode,
+and for --decode JSON that does not parse or a tree that breaks the
+outdegree and color rules.  The CLI's own rules (--n-max >= 1, a word over
+01 for --alphabet 01) raise the same way.
 """
 
 from __future__ import annotations
@@ -145,24 +147,10 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 def _cmd_tree(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.encode is not None:
-        try:
-            tree = trees.word_to_tree(args.encode)
-        except (trees.NotInU, trees.MalformedTraversal) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(json.dumps(tree.to_json_obj()))
-        return 0
-    try:
-        obj = json.loads(args.decode)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-    try:
-        tree = trees.ColoredTree.from_json_obj(obj)
+        print(json.dumps(trees.word_to_tree(args.encode).to_json_obj()))
+    else:
+        tree = trees.ColoredTree.from_json_obj(json.loads(args.decode))
         print(trees.tree_to_word(tree))
-    except trees.MalformedTree as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -194,8 +182,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         words.brute_cap()
         return args.func(parser, args)
-    except ValueError as exc:
-        # the library's input contract and the CLI's own value rules
+    except (ValueError, trees.MalformedTraversal) as exc:
+        # the library's input contract (bad tree JSON and non-U words
+        # included), the CLI's own value rules, and a tree parser bug
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except words.CapExceeded as exc:

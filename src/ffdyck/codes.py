@@ -38,6 +38,7 @@ class CodeSet:
 
 def build_code(m: int, n_max: int, cap: int | None = None) -> CodeSet:
     """All D-words of lengths (2m+3)n for n = 1..n_max, over the 01 alphabet."""
+    words.check_args(m, n_max)
     collected: list[str] = []
     for n in range(1, n_max + 1):
         collected.extend(

@@ -251,6 +251,7 @@ def check_tree_roundtrip_trees(level: str) -> None:
         for t in trees.enumerate_trees(n):
             w = trees.tree_to_word(t)
             assert words.is_in_u(w, 2), f"tree decoded to a non-U word: {w}"
+            assert len(w) == 7 * n, f"tree decoded to length {len(w)}, not {7 * n}"
             back = trees.word_to_tree(w)
             assert back == t, f"tree round-trip failed for {t.canonical()}"
 

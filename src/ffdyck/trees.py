@@ -39,7 +39,7 @@ COLORS = ("blue", "red", "green")
 _CANON_LETTER = {"blue": "B", "red": "R", "green": "G"}
 
 
-class NotInU(Exception):
+class NotInU(ValueError):
     """The word handed to the encoder is not a nonempty slope-5/2 U-word."""
 
 
@@ -47,7 +47,7 @@ class MalformedTraversal(Exception):
     """The cursor lost its place while replaying a word (an internal bug)."""
 
 
-class MalformedTree(Exception):
+class MalformedTree(ValueError):
     """A tree value violates the outdegree/color invariants."""
 
 

@@ -137,8 +137,6 @@ def is_factor_free(word: str, m: int) -> bool:
     above it, and a tie with the new top is a Dyck factor.  The single tie
     allowed is the whole word (start 0, end len(word)).
     """
-    check_args(m)
-    check_word(word)
     stack = None
     for j, h in enumerate(prefix_profile(word, m)):
         stack, start = _dyck_factor_start(stack, h, j)
@@ -260,10 +258,11 @@ def letter_counts(m: int, n: int) -> tuple[int, int]:
 
 
 def _check_cap(length: int, n_a: int, cap: int | None) -> None:
-    if math.comb(length, n_a) > brute_cap(cap):
+    # the count itself is not printed: past about 4300 digits str() refuses it
+    limit = brute_cap(cap)
+    if math.comb(length, n_a) > limit:
         raise CapExceeded(
-            f"C({length},{n_a}) = {math.comb(length, n_a)} candidates "
-            f"exceed the brute-force cap {brute_cap(cap)}"
+            f"C({length},{n_a}) candidates exceed the brute-force cap {limit}"
         )
 
 

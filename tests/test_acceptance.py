@@ -3,6 +3,11 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  All arithmetic is exact, so every comparison is plain equality; the
 stated wall-clock budgets are asserted alongside.
+
+A criterion that is a cross-module invariant runs its `selfcheck` check at
+full level by name (criteria 3, 4, 7, 8 and 9) and restates none of it;
+criteria 7 and 8 add only the figures no check asserts: the ten-edge word,
+the 175 words of lengths 7 to 21 and the 31-word slope-3/2 code.
 """
 
 import json
@@ -14,14 +19,12 @@ from math import comb
 from pathlib import Path
 
 import ffdyck
+from ffdyck import selfcheck
 from ffdyck.cli import main as cli_main
-from ffdyck.codes import build_code, verify_cross_bifix_free
-from ffdyck.counting import count_colored_dyck, count_d, count_u
+from ffdyck.codes import build_code
+from ffdyck.counting import count_d, count_u
 from ffdyck.grammar import generate_u_words, primitive_u_words
-from ffdyck.series import Series, d_series, l_series, u_series
-from ffdyck.trees import enumerate_trees, tree_to_word, word_to_tree
-from ffdyck.words import brute_enumerate_d, brute_enumerate_u, from_binary, valuation
-from ffdyck.bell import binomial
+from ffdyck.trees import tree_to_word, word_to_tree
 
 DATA = Path(__file__).parent / "data"
 # The child process imports the same ffdyck as this test, installed or not.
@@ -72,24 +75,13 @@ def test_criterion_2_slope52_sequences():
 
 def test_criterion_3_three_way_oracle_agreement():
     with criterion("3 Bell = series = colored DP, and D vs series", budget=10.0):
-        for m in (1, 2, 3):
-            u_coeffs = u_series(m, 20)
-            d_coeffs = d_series(m, 20)
-            for n in range(21):
-                bell_value = count_u(m, n)
-                assert bell_value == u_coeffs[n] == count_colored_dyck(m, n), (m, n)
-                assert count_d(m, n) == d_coeffs[n], (m, n)
+        selfcheck.check_three_way_u_counts("full")
+        selfcheck.check_d_counts_vs_series("full")
 
 
 def test_criterion_4_brute_force_ground_truth():
     with criterion("4 brute-force counts match closed forms", budget=60.0):
-        for m, n in [
-            (1, 1), (1, 2), (1, 3), (1, 4),
-            (2, 1), (2, 2), (2, 3),
-            (3, 1), (3, 2),
-        ]:
-            assert len(brute_enumerate_u(m, n)) == count_u(m, n), (m, n)
-            assert len(brute_enumerate_d(m, n)) == count_d(m, n), (m, n)
+        selfcheck.check_brute_counts("full")
 
 
 def test_criterion_5_exact_word_listings(capsys):
@@ -132,15 +124,9 @@ def test_criterion_6_building_blocks():
 
 def test_criterion_7_tree_bijection():
     with criterion("7 slope-5/2 tree bijection round-trips", budget=10.0):
-        total = 0
-        for n in (1, 2, 3):
-            for w in generate_u_words(2, n):
-                tree = word_to_tree(w)
-                assert tree_to_word(tree) == w
-                total += 1
-        assert total == 3 + 19 + 153 == 175
-        for n in range(1, 5):
-            assert len(enumerate_trees(n)) == count_u(2, n)
+        selfcheck.check_tree_roundtrip_words("full")
+        selfcheck.check_tree_counts("full")
+        assert sum(len(generate_u_words(2, n)) for n in (1, 2, 3)) == 175
         ten_edge_word = "abbbbaabbbabbbaababbbabbbbabbbbbabb"
         tree = word_to_tree(ten_edge_word)
         assert tree.edge_count == 10
@@ -149,40 +135,14 @@ def test_criterion_7_tree_bijection():
 
 def test_criterion_8_cross_bifix_free():
     with criterion("8 codes are cross-bifix-free with split valuations", budget=5.0):
-        code32 = build_code(1, 4)
-        assert len(code32.words) == 31
-        assert verify_cross_bifix_free(list(code32.words)) == (True, None)
-        code52 = build_code(2, 3)
-        assert verify_cross_bifix_free(list(code52.words)) == (True, None)
-        for code in (code32, code52):
-            for cw in code.words:
-                w = from_binary(cw)
-                for cut in range(1, len(w)):
-                    assert valuation(w[:cut], code.m) > 0
-                    assert valuation(w[cut:], code.m) < 0
+        selfcheck.check_cross_bifix_codes("full")
+        assert len(build_code(1, 4).words) == 31
 
 
 def test_criterion_9_series_identities():
     with criterion("9 closed series relations to tau-order 40", budget=5.0):
-        order = 40
-        for m in (1, 2, 3):
-            l1 = l_series(m, 1, order)
-            rhs1 = Series.zero(order)
-            for j in range(m + 1):
-                rhs1 = rhs1 + (l1 ** (2 * j)).shift(j + m + 1) * binomial(
-                    m + j, m - j
-                )
-            assert l1 == rhs1, m
-            l2 = l_series(m, 2, order)
-            rhs2 = Series.zero(order)
-            for j in range(m):
-                rhs2 = rhs2 + (l1 ** (2 * j + 1)).shift(j + m + 1) * binomial(
-                    m + j, m - j - 1
-                )
-            assert l2 == rhs2, m
-            per = 2 * m + 3
-            inflated = u_series(m, order // per + 1).inflate(per, order).shift(m + 1)
-            assert l1 == inflated, m
+        selfcheck.check_l_series_closed_relations("full")
+        selfcheck.check_l1_factorization("full")
 
 
 def test_criterion_10_full_selfcheck_command():

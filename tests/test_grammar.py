@@ -4,25 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from ffdyck.counting import ascent_weight, count_d, count_u
+from ffdyck import selfcheck
+from ffdyck.counting import count_d, count_u
 from ffdyck.grammar import (
     expand_l_words,
     generate_d_words,
     generate_u_words,
     primitive_u_words,
 )
-from ffdyck.words import (
-    CapExceeded,
-    brute_enumerate_d,
-    brute_enumerate_u,
-    is_factor_free,
-    prefix_profile,
-    valuation,
-)
+from ffdyck.words import CapExceeded, is_factor_free, prefix_profile, valuation
 
 DATA = Path(__file__).parent / "data"
-
-BRUTE_RANGE = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 
 
 def test_expand_l_top_index():
@@ -80,33 +72,14 @@ def test_generate_empty_cases():
     assert generate_d_words(1, 0) == []
 
 
-def test_grammar_equals_brute_force():
-    for m, n in BRUTE_RANGE:
-        assert generate_u_words(m, n) == brute_enumerate_u(m, n), (m, n)
-        assert generate_d_words(m, n) == brute_enumerate_d(m, n), (m, n)
-
-
 def test_unambiguity_as_count_equality():
-    # duplicate derivations would inflate the raw expansion lists
-    extra = [(1, 5), (1, 6), (2, 4)]
-    for m, n in BRUTE_RANGE + extra:
+    # duplicate derivations would inflate the raw expansion lists; the
+    # unambiguity-counts check covers the brute-force sizes
+    for m, n in [(1, 5), (1, 6), (2, 4)]:
         gu = generate_u_words(m, n)
         assert len(gu) == len(set(gu)) == count_u(m, n), (m, n)
         gd = generate_d_words(m, n)
         assert len(gd) == len(set(gd)) == count_d(m, n), (m, n)
-
-
-def test_generated_d_words_are_bifix_free():
-    for m, n in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]:
-        for w in generate_d_words(m, n):
-            for k in range(1, len(w)):
-                assert w[:k] != w[-k:], (w, k)
-
-
-def test_primitive_counts_match_ascent_weights():
-    for m in (1, 2, 3):
-        for j in range(1, m + 1):
-            assert len(primitive_u_words(m, j)) == ascent_weight(m, j), (m, j)
 
 
 def test_primitive_words_slope32():
@@ -145,3 +118,10 @@ def test_generated_words_have_uniform_letter_counts():
             assert len(w) == (2 * m + 3) * n
             assert w.count("a") == 2 * n
             assert valuation(w, m) == 0
+
+
+# The invariant behind each of these ids is written once, in selfcheck.CHECKS:
+# the id runs that check itself, at the "full" level of conftest's fixture.
+test_grammar_equals_brute_force = selfcheck.check_grammar_vs_brute
+test_generated_d_words_are_bifix_free = selfcheck.check_cross_bifix_codes
+test_primitive_counts_match_ascent_weights = selfcheck.check_primitive_blocks

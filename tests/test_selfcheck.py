@@ -1,8 +1,20 @@
-"""Selfcheck runner behaviour, including failure reporting."""
+"""Every selfcheck check at full level, one case each, and the runner.
+
+The cross-module invariants live in `selfcheck.CHECKS` and nowhere else:
+each runs here as its own case, named by the check, so
+`pytest -k lattice-reading` runs that one check and a failure names it.
+"""
 
 import pytest
 
 from ffdyck import counting, selfcheck
+
+
+@pytest.mark.parametrize(
+    "check", [pytest.param(fn, id=name) for name, fn in selfcheck.CHECKS]
+)
+def test_check_at_full_level(check):
+    check("full")
 
 
 def test_quick_level_passes_and_reports_every_check():

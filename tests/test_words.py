@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from ffdyck import words
+from ffdyck import selfcheck, words
 from ffdyck.grammar import generate_d_words, generate_u_words, primitive_u_words
 from ffdyck.words import (
     CapExceeded,
@@ -122,12 +122,6 @@ def test_one_pass_is_in_u_matches_profile_formulation():
         assert is_in_u(swapped, 2) == profile_is_in_u(swapped, 2), i
 
 
-def test_lattice_reading_agrees_with_membership():
-    for m in (1, 2):
-        for w in all_words(2 * m + 10):
-            assert is_in_u(w, m) == is_in_u_lattice(w, m), (w, m)
-
-
 def test_binary_rendering():
     assert to_binary("aabbb") == "00111"
     assert from_binary("01011") == "ababb"
@@ -178,24 +172,6 @@ def test_brute_search_rechecks_only_members(monkeypatch, m, n):
         monkeypatch.setattr(words, name, spy)
     found = brute_enumerate_u(m, n) + brute_enumerate_d(m, n)
     assert len(rechecked) == len(found)
-
-
-def test_enumerated_u_words_shape():
-    for m, n in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
-        for w in brute_enumerate_u(m, n):
-            prof = prefix_profile(w, m)
-            assert prof[-1] == 0
-            assert -2 * m < min(prof) < 0
-            assert is_factor_free(w, m)
-
-
-def test_d_split_valuations():
-    # every split of a nonempty D-word has positive head and negative tail
-    for m, n in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]:
-        for w in brute_enumerate_d(m, n):
-            for cut in range(1, len(w)):
-                assert valuation(w[:cut], m) > 0
-                assert valuation(w[cut:], m) < 0
 
 
 def test_trivial_enumerations():
@@ -259,3 +235,10 @@ def test_cap_env_override(monkeypatch):
         brute_enumerate_u(1, 1)
     monkeypatch.delenv(words.BRUTE_CAP_ENV)
     assert brute_enumerate_u(1, 1) == ["abbab"]
+
+
+# The invariant behind each of these ids is written once, in selfcheck.CHECKS:
+# the id runs that check itself, at the "full" level of conftest's fixture.
+test_lattice_reading_agrees_with_membership = selfcheck.check_lattice_reading
+test_enumerated_u_words_shape = selfcheck.check_u_word_shape
+test_d_split_valuations = selfcheck.check_cross_bifix_codes
