@@ -25,7 +25,7 @@ from .grammar import (
     generate_u_words,
     primitive_u_words,
 )
-from .series import Series, d_series, l_series, u_series
+from .series import d_series, l_series, u_series
 from .trees import (
     LEAF,
     ColoredTree,
@@ -60,7 +60,6 @@ __all__ = [
     "MalformedTree",
     "NonIntegerResult",
     "NotInU",
-    "Series",
     "ascent_weight",
     "bell_partial",
     "binomial",

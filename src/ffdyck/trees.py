@@ -36,7 +36,20 @@ from .words import CapExceeded, brute_cap, check_args, is_in_u
 
 COLORS = ("blue", "red", "green")
 
-_CANON_LETTER = {"blue": "B", "red": "R", "green": "G"}
+# (down, gap, up) per node color, None for the 4-node: the edge labels of the
+# word, and the brackets of the canonical rendering
+_WORD_TOKENS = {
+    "blue": ("ba", "bbba", "b"),
+    "red": ("a", "bbbba", "b"),
+    "green": ("a", "bbba", "bb"),
+    None: ("a", "bbba", "b"),
+}
+_CANON_TOKENS = {
+    "blue": ("B(", ",", ")"),
+    "red": ("R(", ",", ")"),
+    "green": ("G(", ",", ")"),
+    None: ("F(", ",", ")"),
+}
 
 
 class NotInU(ValueError):
@@ -51,7 +64,7 @@ class MalformedTree(ValueError):
     """A tree value violates the outdegree/color invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColoredTree:
     """Rooted ordered tree with outdegrees 0, 2 or 4; 2-nodes carry a color."""
 
@@ -72,16 +85,23 @@ class ColoredTree:
                 f"outdegree-{deg} node must be uncolored, got {self.color!r}"
             )
 
+    # Trees and U-words are in bijection, so the word is the tree's identity.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColoredTree):
+            return NotImplemented
+        return tree_to_word(self) == tree_to_word(other)
+
+    def __hash__(self) -> int:
+        return hash(tree_to_word(self))
+
     @property
     def edge_count(self) -> int:
-        return len(self.children) + sum(c.edge_count for c in self.children)
+        # every two edges spell seven letters
+        return 2 * len(tree_to_word(self)) // 7
 
     def canonical(self) -> str:
         """Preorder rendering: L leaf, B/R/G colored 2-node, F 4-node."""
-        if not self.children:
-            return "L"
-        letter = _CANON_LETTER.get(self.color, "F")
-        return letter + "(" + ",".join(c.canonical() for c in self.children) + ")"
+        return _render(self, "L", _CANON_TOKENS)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -108,24 +128,36 @@ class ColoredTree:
 LEAF = ColoredTree()
 
 
-def tree_to_word(tree: ColoredTree) -> str:
-    """Counterclockwise traversal of the tree, emitting the edge labels."""
+def _render(
+    tree: ColoredTree, leaf: str, tokens: dict[str | None, tuple[str, str, str]]
+) -> str:
+    """Preorder walk with an explicit stack, so any depth renders.
+
+    An inner node emits its color's down token, its children separated by the
+    gap token, then the up token; a leaf emits `leaf`.
+    """
     parts: list[str] = []
-    todo: list[ColoredTree | str] = [tree]  # nodes to visit and labels to emit
+    todo: list[ColoredTree | str] = [tree]  # nodes to visit and tokens to emit
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             parts.append(item)
             continue
         if not item.children:
+            parts.append(leaf)
             continue
-        parts.append("ba" if item.color == "blue" else "a")
-        todo.append("bb" if item.color == "green" else "b")
-        gap = "bbbba" if item.color == "red" else "bbba"
+        down, gap, up = tokens[item.color]
+        parts.append(down)
+        todo.append(up)
         for child in reversed(item.children[1:]):
             todo.extend((child, gap))
         todo.append(item.children[0])
     return "".join(parts)
+
+
+def tree_to_word(tree: ColoredTree) -> str:
+    """Counterclockwise traversal of the tree, emitting the edge labels."""
+    return _render(tree, "", _WORD_TOKENS)
 
 
 class _Node:
@@ -298,7 +330,9 @@ def enumerate_trees(n: int, cap: int | None = None) -> list[ColoredTree]:
     The table of smaller trees lives for this call only.
     """
     check_args(2, n)
-    if 20**n > brute_cap(cap):
+    limit = brute_cap(cap)
+    # 20^k > limit already at k = limit.bit_length(): no need to raise 20 further
+    if 20 ** min(n, limit.bit_length()) > limit:
         raise CapExceeded(f"tree count near 20^{n} exceeds the brute-force cap")
     by_edges = {0: (LEAF,)}
     for edges in range(2, 2 * n + 1, 2):

@@ -26,7 +26,6 @@ rendering maps a <-> 0, b <-> 1.  All word lists are sorted with a < b.
 
 from __future__ import annotations
 
-import math
 import os
 
 
@@ -260,7 +259,14 @@ def letter_counts(m: int, n: int) -> tuple[int, int]:
 def _check_cap(length: int, n_a: int, cap: int | None) -> None:
     # the count itself is not printed: past about 4300 digits str() refuses it
     limit = brute_cap(cap)
-    if math.comb(length, n_a) > limit:
+    # C(length - n_a + i, i) never decreases in i and ends at C(length, n_a),
+    # so stop at the first value past the cap instead of computing it in full
+    count = 1
+    for i in range(1, n_a + 1):
+        if count > limit:
+            break
+        count = count * (length - n_a + i) // i
+    if count > limit:
         raise CapExceeded(
             f"C({length},{n_a}) candidates exceed the brute-force cap {limit}"
         )

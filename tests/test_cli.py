@@ -204,6 +204,12 @@ def test_selfcheck_quick(capsys):
             "count --m 1 --n 3000 --language U --method brute", {}, 3, id="brute-n3000"
         ),
         pytest.param(
+            "count --m 1 --n 1000000 --language U --method brute",
+            {},
+            3,
+            id="brute-n1000000",
+        ),
+        pytest.param(
             "count --m 1 --n 2 --language U --method brute",
             {"DYCK_BRUTE_CAP": "1"},
             3,

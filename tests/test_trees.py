@@ -109,14 +109,17 @@ def test_canonical_rendering():
 
 
 def test_deep_blue_chain_round_trip():
-    # 1200 nested blue nodes: an 8400-letter U-word deeper than the recursion
-    # limit.  Words are compared, not trees, since tree equality recurses.
+    # 1200 nested blue nodes: an 8400-letter U-word deeper than the recursion limit
     tree = LEAF
     for _ in range(1200):
         tree = ColoredTree("blue", (tree, LEAF))
     word = tree_to_word(tree)
     assert len(word) == 8400 and is_in_u(word, 2)
-    assert tree_to_word(word_to_tree(word)) == word
+    back = word_to_tree(word)
+    assert back is not tree and back == tree and hash(back) == hash(tree)
+    assert tree_to_word(back) == word
+    assert back.edge_count == 2400
+    assert back.canonical().startswith("B(" * 1200 + "L,L)")
 
 
 # The invariant behind each of these ids is written once, in selfcheck.CHECKS:

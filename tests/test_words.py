@@ -1,11 +1,13 @@
 """Word predicates, profiles, and the brute-force enumerators."""
 
 import itertools
+import time
 
 import pytest
 
 from ffdyck import selfcheck, words
 from ffdyck.grammar import generate_d_words, generate_u_words, primitive_u_words
+from ffdyck.trees import enumerate_trees
 from ffdyck.words import (
     CapExceeded,
     brute_enumerate_d,
@@ -227,6 +229,16 @@ def test_letters_outside_ab_rejected(check):
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         brute_enumerate_u(1, 10, cap=1000)
+
+
+def test_cap_check_costs_less_than_the_search():
+    # the full candidate counts here have millions of digits
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        brute_enumerate_u(1, 10**6)
+    with pytest.raises(CapExceeded):
+        enumerate_trees(10**7)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cap_env_override(monkeypatch):
