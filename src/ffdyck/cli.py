@@ -10,15 +10,19 @@ line on stderr.  That covers tree input too: a word outside U for --encode,
 and for --decode JSON that does not parse or a tree that breaks the
 outdegree and color rules.  The CLI's own rules (--n-max >= 1, a word over
 01 for --alphabet 01) raise the same way.
+
+Each subcommand imports the library modules (and json) it runs, so a child
+process loads only those: `count` never loads the grammar, the trees or the
+selfcheck suite, and `tree` reads and writes its JSON without the json
+module, at any depth.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import codes, counting, grammar, selfcheck, series, trees, words
+from . import words
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,19 +102,18 @@ def _read_word(word: str, alphabet: str) -> str:
     return words.from_binary(word)
 
 
-_COUNTERS = {
-    ("U", "bell"): counting.count_u,
-    ("D", "bell"): counting.count_d,
-    ("U", "series"): lambda m, n: series.u_series(m, n)[n],
-    ("D", "series"): lambda m, n: series.d_series(m, n)[n],
-    ("U", "colored"): counting.count_colored_dyck,
-    ("U", "brute"): lambda m, n: len(words.brute_enumerate_u(m, n)),
-    ("D", "brute"): lambda m, n: len(words.brute_enumerate_d(m, n)),
-}
-
-
 def _cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    count = _COUNTERS.get((args.language, args.method))
+    from . import counting, series
+
+    count = {
+        ("U", "bell"): counting.count_u,
+        ("D", "bell"): counting.count_d,
+        ("U", "series"): lambda m, n: series.u_series(m, n)[n],
+        ("D", "series"): lambda m, n: series.d_series(m, n)[n],
+        ("U", "colored"): counting.count_colored_dyck,
+        ("U", "brute"): lambda m, n: len(words.brute_enumerate_u(m, n)),
+        ("D", "brute"): lambda m, n: len(words.brute_enumerate_d(m, n)),
+    }.get((args.language, args.method))
     if count is None:
         parser.error(f"--method {args.method} applies to --language U only")
     print(count(args.m, args.n))
@@ -118,11 +121,15 @@ def _cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import grammar
+
     gen = grammar.generate_u_words if args.language == "U" else grammar.generate_d_words
     out = gen(args.m, args.n)
     if args.alphabet == "01":
         out = [words.to_binary(w) for w in out]
     if args.format == "json":
+        import json
+
         print(json.dumps(out))
     else:
         for w in out:
@@ -131,6 +138,8 @@ def _cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    import json
+
     word = _read_word(args.word, args.alphabet)
     profile = words.prefix_profile(word, args.m)
     report = {
@@ -146,19 +155,24 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _cmd_tree(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import trees
+
     if args.encode is not None:
-        print(json.dumps(trees.word_to_tree(args.encode).to_json_obj()))
+        print(trees.word_to_tree(args.encode).to_json_text())
     else:
-        tree = trees.ColoredTree.from_json_obj(json.loads(args.decode))
-        print(trees.tree_to_word(tree))
+        print(trees.tree_to_word(trees.ColoredTree.from_json_text(args.decode)))
     return 0
 
 
 def _cmd_codes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
+    from . import codes
+
     code = codes.build_code(args.m, args.n_max)
     if args.format == "json":
+        import json
+
         print(json.dumps(code.to_json_obj()))
     else:
         for w in code.words:
@@ -173,6 +187,8 @@ def _cmd_codes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _cmd_selfcheck(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import selfcheck
+
     return 0 if selfcheck.run(args.level) else 1
 
 
@@ -182,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         words.brute_cap()
         return args.func(parser, args)
-    except (ValueError, trees.MalformedTraversal) as exc:
+    except (ValueError, words.MalformedTraversal) as exc:
         # the library's input contract (bad tree JSON and non-U words
         # included), the CLI's own value rules, and a tree parser bug
         print(f"error: {exc}", file=sys.stderr)

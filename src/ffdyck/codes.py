@@ -9,17 +9,43 @@ form a non-overlapping code of variable length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import grammar, words
 
 
-@dataclass(frozen=True)
 class CodeSet:
-    """A set of binary codewords drawn from D for one slope."""
+    """A set of binary codewords drawn from D for one slope.
+
+    Immutable; equal when the slope and the words are equal.
+    """
+
+    __slots__ = ("m", "words")
 
     m: int
     words: tuple[str, ...]
+
+    def __init__(self, m: int, words: tuple[str, ...]) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "words", words)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CodeSet is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CodeSet is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CodeSet):
+            return NotImplemented
+        return (self.m, self.words) == (other.m, other.words)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.words))
+
+    def __repr__(self) -> str:
+        return f"CodeSet(m={self.m!r}, words={self.words!r})"
+
+    def __reduce__(self) -> tuple:
+        return CodeSet, (self.m, self.words)
 
     @property
     def slope(self) -> str:

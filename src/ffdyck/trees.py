@@ -29,15 +29,16 @@ the parse is deterministic; round-trip tests over every word of lengths 7,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Any, Iterator
 
-from .words import CapExceeded, brute_cap, check_args, is_in_u
+from .words import CapExceeded, MalformedTraversal, brute_cap, check_args, is_in_u
 
 COLORS = ("blue", "red", "green")
 
 # (down, gap, up) per node color, None for the 4-node: the edge labels of the
-# word, and the brackets of the canonical rendering
+# word, the brackets of the canonical rendering and the JSON text around the
+# children
 _WORD_TOKENS = {
     "blue": ("ba", "bbba", "b"),
     "red": ("a", "bbbba", "b"),
@@ -50,42 +51,58 @@ _CANON_TOKENS = {
     "green": ("G(", ",", ")"),
     None: ("F(", ",", ")"),
 }
+_JSON_TOKENS = {
+    color: (f'{{"color": "{color or "none"}", "children": [', ", ", "]}")
+    for color in (*COLORS, None)
+}
+_JSON_LEAF = '{"color": "none", "children": []}'
 
 
 class NotInU(ValueError):
     """The word handed to the encoder is not a nonempty slope-5/2 U-word."""
 
 
-class MalformedTraversal(Exception):
-    """The cursor lost its place while replaying a word (an internal bug)."""
-
-
 class MalformedTree(ValueError):
     """A tree value violates the outdegree/color invariants."""
 
 
-@dataclass(frozen=True, eq=False)
 class ColoredTree:
-    """Rooted ordered tree with outdegrees 0, 2 or 4; 2-nodes carry a color."""
+    """Rooted ordered tree with outdegrees 0, 2 or 4; 2-nodes carry a color.
 
-    color: str | None = None
-    children: tuple["ColoredTree", ...] = ()
+    Immutable.  Trees and U-words are in bijection, so the word is the tree's
+    identity: equality, hash, repr and pickling all go through a
+    non-recursive walk, and work at any depth.
+    """
 
-    def __post_init__(self) -> None:
-        deg = len(self.children)
+    __slots__ = ("color", "children")
+
+    color: str | None
+    children: tuple["ColoredTree", ...]
+
+    def __init__(
+        self, color: str | None = None, children: tuple["ColoredTree", ...] = ()
+    ) -> None:
+        deg = len(children)
         if deg not in (0, 2, 4):
             raise MalformedTree(f"outdegree {deg} is not 0, 2 or 4")
         if deg == 2:
-            if self.color not in COLORS:
+            if color not in COLORS:
                 raise MalformedTree(
-                    f"outdegree-2 node must be colored blue/red/green, got {self.color!r}"
+                    f"outdegree-2 node must be colored blue/red/green, got {color!r}"
                 )
-        elif self.color is not None:
+        elif color is not None:
             raise MalformedTree(
-                f"outdegree-{deg} node must be uncolored, got {self.color!r}"
+                f"outdegree-{deg} node must be uncolored, got {color!r}"
             )
+        object.__setattr__(self, "color", color)
+        object.__setattr__(self, "children", tuple(children))
 
-    # Trees and U-words are in bijection, so the word is the tree's identity.
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ColoredTree is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ColoredTree is immutable: cannot delete {name!r}")
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColoredTree):
             return NotImplemented
@@ -93,6 +110,15 @@ class ColoredTree:
 
     def __hash__(self) -> int:
         return hash(tree_to_word(self))
+
+    def __repr__(self) -> str:
+        return f"ColoredTree({self.canonical()})"
+
+    def __reduce__(self) -> tuple:
+        # the leaf spells the empty word, which word_to_tree rejects
+        if not self.children:
+            return ColoredTree, ()
+        return word_to_tree, (tree_to_word(self),)
 
     @property
     def edge_count(self) -> int:
@@ -104,28 +130,166 @@ class ColoredTree:
         return _render(self, "L", _CANON_TOKENS)
 
     def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "color": self.color if self.color else "none",
-            "children": [c.to_json_obj() for c in self.children],
-        }
+        """Nested {"color", "children"} dicts; an uncolored node has color "none"."""
+        root: dict[str, Any] = {}
+        todo = [(self, root)]
+        while todo:
+            node, out = todo.pop()
+            kids: list[dict[str, Any]] = [{} for _ in node.children]
+            out["color"] = node.color or "none"
+            out["children"] = kids
+            todo.extend(zip(node.children, kids))
+        return root
+
+    def to_json_text(self) -> str:
+        """`json.dumps(self.to_json_obj())`, written with an explicit stack."""
+        return _render(self, _JSON_LEAF, _JSON_TOKENS)
 
     @classmethod
     def from_json_obj(cls, obj: Any) -> "ColoredTree":
-        if not isinstance(obj, dict):
-            raise MalformedTree(f"tree node must be an object, got {type(obj).__name__}")
-        color = obj.get("color", "none")
-        if color not in COLORS and color != "none":
-            raise MalformedTree(f"unknown color {color!r}")
-        children = obj.get("children", [])
-        if not isinstance(children, list):
-            raise MalformedTree("children must be a list")
-        return cls(
-            None if color == "none" else color,
-            tuple(cls.from_json_obj(c) for c in children),
-        )
+        """Read `to_json_obj` output; a missing color is "none", missing children [].
+
+        The nodes are visited in the order of a recursive reading, so the first
+        malformed node found is the one a recursive reading would report.
+        """
+        built: list[ColoredTree] = []
+        on_path: set[int] = set()  # ids of the JSON nodes being read
+        # a JSON node to read, paired with None, or a node read, paired with
+        # (color, child count) to build it from the end of `built`
+        todo: list[tuple[Any, tuple[str | None, int] | None]] = [(obj, None)]
+        while todo:
+            item, read = todo.pop()
+            if read is not None:
+                color, deg = read
+                kids = tuple(built[len(built) - deg :])
+                del built[len(built) - deg :]
+                built.append(cls(color, kids))
+                on_path.discard(id(item))
+                continue
+            if not isinstance(item, dict):
+                raise MalformedTree(
+                    f"tree node must be an object, got {type(item).__name__}"
+                )
+            if id(item) in on_path:
+                raise MalformedTree("tree node contains itself")
+            color = item.get("color", "none")
+            if color not in COLORS and color != "none":
+                raise MalformedTree(f"unknown color {color!r}")
+            children = item.get("children", [])
+            if not isinstance(children, list):
+                raise MalformedTree("children must be a list")
+            on_path.add(id(item))
+            todo.append((item, (None if color == "none" else color, len(children))))
+            todo.extend((child, None) for child in reversed(children))
+        return built[0]
+
+    @classmethod
+    def from_json_text(cls, text: str) -> "ColoredTree":
+        """`from_json_obj(json.loads(text))` at any depth; bad JSON raises ValueError."""
+        return cls.from_json_obj(_parse_json(text))
 
 
 LEAF = ColoredTree()
+
+
+# One JSON token after optional whitespace: punctuation, a string with its
+# quotes, a scalar, or any other character but whitespace (always an error),
+# so the tokens cover the text up to trailing whitespace.
+_JSON_TOKEN = re.compile(
+    r"[ \t\n\r]*(?:([][{}:,])"
+    r'|("(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*")'
+    r"|(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|true|false|null|NaN|-?Infinity)"
+    r"|([^ \t\n\r]))"
+)
+_JSON_ESCAPE = re.compile(r"\\(u[0-9a-fA-F]{4}|.)")
+_JSON_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
+_JSON_CONSTANTS = {"true": True, "false": False, "null": None}
+
+
+def _json_string(token: str) -> str:
+    body = token[1:-1]
+    if "\\" not in body:
+        return body
+    out = _JSON_ESCAPE.sub(
+        lambda e: chr(int(e[1][1:], 16)) if len(e[1]) == 5 else _JSON_ESCAPES[e[1]],
+        body,
+    )
+    # join \uXXXX surrogate pairs into one character, as json.loads does
+    return out.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+
+
+def _json_scalar(token: str) -> Any:
+    if token in _JSON_CONSTANTS:
+        return _JSON_CONSTANTS[token]
+    if token[-1].isdigit() and not any(c in token for c in ".eE"):
+        return int(token)
+    return float(token)
+
+
+def _parse_json(text: str) -> Any:
+    """The value of one JSON text, as `json.loads` reads it, at any depth.
+
+    Open arrays and objects wait on an explicit stack; each value is stored
+    into its container as soon as it starts.
+    """
+    holder: list[Any] = []
+    stack: list[Any] = [holder]  # open containers, innermost last
+    keys: list[Any] = [None]  # per open container, the key of its next value
+    state = "value"  # what the grammar allows next
+    for punct, string, scalar, other in _JSON_TOKEN.findall(text):
+        top = stack[-1]
+        if state == "after":
+            if len(stack) == 1:
+                break
+            if punct == ",":
+                state = "key" if type(top) is dict else "value"
+            elif punct == ("}" if type(top) is dict else "]"):
+                stack.pop()
+                keys.pop()
+            else:
+                break
+        elif state == ":":
+            if punct != ":":
+                break
+            state = "value"
+        elif state == "key" or state == "key or }":
+            if string:
+                keys[-1] = _json_string(string)
+                state = ":"
+            elif punct == "}" and state == "key or }":
+                stack.pop()
+                keys.pop()
+                state = "after"
+            else:
+                break
+        elif punct == "]" and state == "value or ]":
+            stack.pop()
+            keys.pop()
+            state = "after"
+        else:
+            if punct == "{" or punct == "[":
+                value: Any = {} if punct == "{" else []
+            elif string:
+                value = _json_string(string)
+            elif scalar:
+                value = _json_scalar(scalar)
+            else:
+                break
+            if type(top) is dict:
+                top[keys[-1]] = value
+            else:
+                top.append(value)
+            if punct:
+                stack.append(value)
+                keys.append(None)
+                state = "key or }" if punct == "{" else "value or ]"
+            else:
+                state = "after"
+    else:
+        if state == "after" and len(stack) == 1:
+            return holder[0]
+        raise ValueError("invalid JSON: the text ends early")
+    raise ValueError(f"invalid JSON: unexpected {punct or string or scalar or other!r}")
 
 
 def _render(

@@ -136,6 +136,16 @@ def test_tree_decode_rejects_bad_tree(capsys):
     assert code == 2 and "outdegree" in err
 
 
+def test_deep_tree_cli_round_trip(capsys):
+    # a 1200-deep blue chain: 8400 letters, nested deeper than the recursion limit
+    word = "ba" * 1200 + "bbbab" * 1200
+    code, encoded, err = run_cli(capsys, "tree", "--encode", word)
+    assert code == 0 and err == ""
+    assert encoded.startswith('{"color": "blue", "children": [' * 1200)
+    code, out, err = run_cli(capsys, "tree", "--decode", encoded.strip())
+    assert code == 0 and err == "" and out == word + "\n"
+
+
 def test_codes_text_output(capsys):
     code, out, _ = run_cli(capsys, "codes", "--m", "1", "--n-max", "1")
     assert code == 0

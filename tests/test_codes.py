@@ -1,8 +1,11 @@
 """Cross-bifix-free code construction and verification."""
 
 import json
+import pickle
 import random
 from pathlib import Path
+
+import pytest
 
 from ffdyck import selfcheck
 from ffdyck.codes import build_code, verify_cross_bifix_free
@@ -32,6 +35,17 @@ def test_build_code_metadata():
     assert code.slope == "3/2"
     assert code.lengths == {5: 2, 10: 3}
     assert code.to_json_obj()["words"] == sorted(code.words)
+
+
+def test_code_set_is_an_immutable_value():
+    first, second = build_code(1, 3), build_code(1, 3)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert first != build_code(1, 2) and first != build_code(2, 1)
+    assert repr(first) == f"CodeSet(m=1, words={first.words!r})"
+    assert pickle.loads(pickle.dumps(first)) == first
+    with pytest.raises(AttributeError):
+        first.m = 2
+    assert first.m == 1
 
 
 def test_codewords_decode_into_d():

@@ -1,6 +1,7 @@
 """Colored-tree bijection for slope 5/2."""
 
 import json
+import pickle
 
 import pytest
 
@@ -90,6 +91,12 @@ def test_json_rendering_round_trip():
     assert ColoredTree.from_json_obj(json.loads(blob)) == tree
     leaf_obj = {"color": "none", "children": []}
     assert ColoredTree.from_json_obj(leaf_obj) == LEAF
+    for n in (1, 2, 3):
+        for w in generate_u_words(2, n):
+            tree = word_to_tree(w)
+            text = tree.to_json_text()
+            assert text == json.dumps(tree.to_json_obj())
+            assert ColoredTree.from_json_text(text) == tree
 
 
 def test_json_rejects_bad_input():
@@ -99,6 +106,12 @@ def test_json_rejects_bad_input():
         ColoredTree.from_json_obj([1, 2])
     with pytest.raises(MalformedTree):
         ColoredTree.from_json_obj({"color": "none", "children": [{}, {}]})
+    cyclic = {"color": "blue", "children": [{}]}
+    cyclic["children"].append(cyclic)
+    with pytest.raises(MalformedTree, match="contains itself"):
+        ColoredTree.from_json_obj(cyclic)
+    shared = {}  # one leaf object in two places is a tree, not a cycle
+    assert ColoredTree.from_json_obj({"color": "red", "children": [shared, shared]}) == RED
 
 
 def test_canonical_rendering():
@@ -120,6 +133,61 @@ def test_deep_blue_chain_round_trip():
     assert tree_to_word(back) == word
     assert back.edge_count == 2400
     assert back.canonical().startswith("B(" * 1200 + "L,L)")
+    assert repr(back) == f"ColoredTree({back.canonical()})"
+    assert pickle.loads(pickle.dumps(back)) == tree
+    assert ColoredTree.from_json_obj(back.to_json_obj()) == tree
+    text = back.to_json_text()
+    assert text.startswith('{"color": "blue", "children": [' * 1200)
+    assert ColoredTree.from_json_text(text) == tree
+
+
+def test_tree_is_an_immutable_value():
+    assert repr(BLUE) == "ColoredTree(B(L,L))" and repr(LEAF) == "ColoredTree(L)"
+    for tree in (LEAF, BLUE, FOUR):
+        assert pickle.loads(pickle.dumps(tree)) == tree
+    assert ColoredTree(color="red", children=[LEAF, LEAF]).children == (LEAF, LEAF)
+    with pytest.raises(AttributeError):
+        BLUE.color = "red"
+    with pytest.raises(AttributeError):
+        del BLUE.children
+    assert BLUE.color == "blue"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"color": "blue", "children": [{}, {"children": []}]}',
+        ' {"children":[{},{}] ,"color":"red" }\n',
+        '{"color": "\\u0067reen", "children": [{}, {}], "note": [1, -2.5e3, null]}',
+        '{"color": "none", "color": "blue", "children": [{}, {}]}',
+        '{"color": "none", "children": [{}, {}, {}, {}]}',
+        "{}",
+    ],
+)
+def test_json_text_reads_what_json_loads_reads(text):
+    assert ColoredTree.from_json_text(text) == ColoredTree.from_json_obj(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "nope",
+        "{",
+        '{"color": "blue", "children": [{}, {}],}',
+        '{"color": "blue" "children": []}',
+        '{"children": [{}, {}]} {}',
+        '{"color": "blue", "children": [{}, {},]}',
+        "{'color': 'none'}",
+        '{"color": "bl\tue"}',
+        '{"color": "purple"}',
+        '{"children": [{}]}',
+        "[]",
+    ],
+)
+def test_json_text_rejects_bad_input(text):
+    with pytest.raises(ValueError):
+        ColoredTree.from_json_text(text)
 
 
 # The invariant behind each of these ids is written once, in selfcheck.CHECKS:
