@@ -39,17 +39,24 @@ class _Expander:
 
     Expansion work is proportional to the words it materializes, so the
     brute-force cap is charged against emitted words rather than against the
-    C(length, #a) candidate bound used by the exhaustive searches.
+    C(length, #a) candidate bound used by the exhaustive searches.  Memory is
+    proportional to their letters, which a second budget of 10 x the cap
+    bounds (at the default cap, `generate --m 2 --n 6` holds 11.0 M letters).
+    Each batch of words is charged before it is built, so no memo entry can
+    overshoot either budget.
     """
 
-    def __init__(self, m: int, budget: int):
+    def __init__(self, m: int, cap: int):
         self.m = m
-        self.budget = budget
+        self.words_left = cap
+        self.letters_left = 10 * cap
         self.memo: dict[tuple[int, int], tuple[str, ...]] = {}
 
-    def charge(self, count: int) -> None:
-        self.budget -= count
-        if self.budget < 0:
+    def charge(self, count: int, length: int) -> None:
+        """Charge `count` words of `length` letters, about to be built."""
+        self.words_left -= count
+        self.letters_left -= count * length
+        if self.words_left < 0 or self.letters_left < 0:
             raise CapExceeded("grammar expansion exceeds the brute-force cap")
 
     def l_words(self, i: int, length: int) -> tuple[str, ...]:
@@ -62,10 +69,11 @@ class _Expander:
         m = self.m
         if i == 2 * m + 1:
             words = ("a",) if length == 1 else ()
+            self.charge(len(words), length)
         elif i == 2 * m:
-            words = tuple(
-                "a" + w + "b" for w in self.l_words(1, length - 2)
-            )
+            inner = self.l_words(1, length - 2)
+            self.charge(len(inner), length)
+            words = tuple("a" + w + "b" for w in inner)
         else:
             acc: list[str] = []
             for left_len in range(1, length - 1):
@@ -73,12 +81,14 @@ class _Expander:
                 if not left:
                     continue
                 right = self.l_words(1, length - 1 - left_len)
+                self.charge(len(left) * len(right), length)
                 for u in left:
                     for v in right:
                         acc.append(u + v + "b")
-            acc.extend(u + "b" for u in self.l_words(i + 2, length - 1))
+            shorter = self.l_words(i + 2, length - 1)
+            self.charge(len(shorter), length)
+            acc.extend(u + "b" for u in shorter)
             words = tuple(acc)
-        self.charge(len(words))
         self.memo[key] = words
         return words
 

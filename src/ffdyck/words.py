@@ -20,6 +20,13 @@ be a Dyck factor sitting inside the frame.
 Nonempty words of either language have length a multiple of 2m+3, with
 exactly 2n letters a and (2m+1)n letters b at length (2m+3)n.
 
+Membership rests on one linear scan (`_run_scan`) that finds a Dyck factor
+as a tie between prefix levels, reading the word one b-run at a time: only
+a descent can tie, so the scan loops #a + 1 times, not once per letter.  The
+brute-force search keeps a per-letter step (`_dyck_factor_start`) on a
+persistent stack instead, because it extends and backtracks one letter at a
+time.
+
 Words are plain Python strings over the alphabet "ab"; an alternate binary
 rendering maps a <-> 0, b <-> 1.  All word lists are sorted with a < b.
 """
@@ -27,6 +34,7 @@ rendering maps a <-> 0, b <-> 1.  All word lists are sorted with a < b.
 from __future__ import annotations
 
 import os
+from bisect import bisect
 
 
 DEFAULT_BRUTE_CAP = 10**7
@@ -126,6 +134,11 @@ def _dyck_factor_start(stack: tuple | None, h: int, j: int) -> tuple[tuple, int 
     The stack is an immutable linked tuple (level, index, parent) or None.
     Returns the new stack and the start i of the Dyck factor word[i:j], or
     None when no factor ends at j; on a tie the stack is returned unchanged.
+
+    Only the brute search uses this one-letter step: each of its nodes keeps
+    its own persistent stack, so it backtracks without undo.  A scan of a
+    whole word needs no persistence and reads it one b-run at a time
+    (`_run_scan`).
     """
     while stack is not None and stack[0] > h:
         stack = stack[2]
@@ -134,22 +147,69 @@ def _dyck_factor_start(stack: tuple | None, h: int, j: int) -> tuple[tuple, int 
     return (h, j, stack), None
 
 
+def _run_scan(word: str, rise: int) -> tuple[list[int], list[int]] | None:
+    """Scan the prefix levels of a word for a Dyck factor, one b-run at a time.
+
+    The factor word[i:j] is Dyck exactly when the levels at i and j are equal
+    and no level in between drops below them.  A level stays visible while no
+    later prefix has dropped below it; a prefix level equal to a visible one
+    (a tie) closes a Dyck factor.  Returns None at the first tie, else the
+    visible levels at the end, split by parity into increasing lists (evens,
+    odds); the start level 0 counts as visible from the outset.
+
+    - An a only climbs, above every visible level, so only a b-run can tie.
+    - A run of k b's from the top level h lands on h-2, ..., h-2k, all of
+      h's parity.  Going down it ties the highest visible level of that
+      parity in the range, which is the top of that parity's list (h itself
+      is never stored: its first b hides it), so the check is O(1).
+    - Without a tie, the run hides every visible level above h-2k: the other
+      parity's list loses its tail past a `bisect`, and h-2k tops its own
+      (every level left in it lies below h-2k, or there was a tie).
+
+    So the loop runs once per b-run, #a + 1 times (2n + 1 for a word of
+    length (2m+3)n with 2n letters a), not once per letter.
+    """
+    stacks: tuple[list[int], list[int]] = ([], [])
+    same, other = stacks[1], stacks[0]
+    h = -rise
+    for run in word.split("a"):
+        h += rise
+        same, other = other, same  # rise is odd: each a flips the parity
+        if run:
+            h -= 2 * len(run)
+            if same and same[-1] >= h:
+                return None
+            del other[bisect(other, h) :]
+        same.append(h)
+    return stacks
+
+
+def _lowest(stacks: tuple[list[int], list[int]]) -> int:
+    """Lowest visible level, which is the lowest level the scan reached."""
+    return min(stacks[0][:1] + stacks[1][:1])
+
+
 def is_factor_free(word: str, m: int) -> bool:
     """No nonempty proper factor of the word is a generalized Dyck word.
 
-    The factor word[i:j] is Dyck exactly when profile[i] == profile[j] and no
-    profile value in between drops below it.  Scanning j upward, a level
-    profile[i] stays visible while no later prefix has dropped below it, so
-    the visible levels strictly increase: adding profile[j] pops the levels
-    above it, and a tie with the new top is a Dyck factor.  The single tie
-    allowed is the whole word (start 0, end len(word)).
+    Every Dyck factor shows up in `_run_scan` as a tie.  The single tie
+    allowed is the whole word (start 0, end len(word)), so the scan stops one
+    letter short and the last letter is tested here: an a ties nothing, and a
+    b lands on the total valuation v from v+2, the top of v's parity list,
+    tying the visible level below that top if it equals v.  That tie is the
+    whole word exactly when the word is Dyck, i.e. v is 0 and no level went
+    below 0.
     """
-    stack = None
-    for j, h in enumerate(prefix_profile(word, m)):
-        stack, start = _dyck_factor_start(stack, h, j)
-        if start is not None and not (start == 0 and j == len(word)):
-            return False
-    return True
+    check_args(m)
+    check_word(word)
+    rise = 2 * m + 1
+    stacks = _run_scan(word[:-1], rise)
+    if stacks is None:
+        return False
+    if not word.endswith("b"):
+        return True
+    v = rise * word.count("a") - 2 * word.count("b")
+    return stacks[v & 1][-2:-1] != [v] or (v == 0 and _lowest(stacks) == 0)
 
 
 def is_in_d(word: str, m: int) -> bool:
@@ -167,11 +227,16 @@ def is_in_u(word: str, m: int) -> bool:
     itself and additionally rejects words with a suffix that completes to a
     Dyck factor using 1..m of the closing b's.
 
-    One scan of the framed word serves every condition.  The frame's a lifts
-    each prefix of the word by 2m+1, so the band reads 1 < h and the dip
-    reads min h < 2m+1 on the framed levels h, and the visible-level stack
-    of is_factor_free runs alongside.  The framed word ends at level 1, so
-    any tie with a visible level is a proper Dyck factor.
+    One `_run_scan` of the framed word serves every condition.  The framed
+    word ends at level 1, so any tie is a proper Dyck factor.  The frame's a
+    lifts each prefix of the word by 2m+1, so the band reads "framed levels
+    above 1" and the dip "some framed level below 2m+1".  Without a dip the
+    word would return to 2m+1 over its start, a tie.  Inside the word, a
+    framed level 0 ties the start unless a lower level came first, and a
+    level 1 ties the frame's last level unless a lower one comes later.  So
+    without a tie the band fails iff some level is below 0, and as the frame
+    ends at 1 that level stays visible: the band holds iff the lowest visible
+    level is the start 0.
     """
     check_args(m)
     check_word(word)
@@ -180,25 +245,8 @@ def is_in_u(word: str, m: int) -> bool:
     rise = 2 * m + 1
     if rise * word.count("a") != 2 * word.count("b"):
         return False
-    h = lo = rise
-    stack = (rise, 1, (0, 0, None))
-    for j, c in enumerate(word, 2):
-        h += rise if c == "a" else -2
-        if h < lo:
-            if h <= 1:
-                return False
-            lo = h
-        stack, start = _dyck_factor_start(stack, h, j)
-        if start is not None:
-            return False
-    if lo == rise:
-        return False
-    for j in range(len(word) + 2, len(word) + 2 + m):
-        h -= 2
-        stack, start = _dyck_factor_start(stack, h, j)
-        if start is not None:
-            return False
-    return True
+    stacks = _run_scan("a" + word + "b" * m, rise)
+    return stacks is not None and _lowest(stacks) == 0
 
 
 def is_in_u_lattice(word: str, m: int) -> bool:
@@ -219,6 +267,10 @@ def is_in_u_lattice(word: str, m: int) -> bool:
     check_word(word)
     if not word:
         return True
+    rise = 2 * m + 1
+    # the end point (#a, #b) must lie on the main line
+    if 2 * word.count("b") != rise * word.count("a"):
+        return False
     pts = [(0, 0)]
     x = y = 0
     for c in word:
@@ -227,9 +279,6 @@ def is_in_u_lattice(word: str, m: int) -> bool:
         else:
             y += 1
         pts.append((x, y))
-    rise = 2 * m + 1
-    if 2 * y != rise * x:
-        return False
     if not any(2 * yi > rise * xi for xi, yi in pts):
         return False
     if not all(2 * yi < rise * xi + 2 * m for xi, yi in pts):
@@ -287,7 +336,9 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
     mode, > -2m in U mode) or that already contain a nonempty Dyck factor
     ending at the current position; such a factor is proper in any completed
     word extending the prefix.  Each node carries its own persistent stack of
-    visible levels, so backtracking needs no undo.  Two more prunes read that
+    visible levels, so backtracking needs no undo; that is why the search
+    steps `_dyck_factor_start` letter by letter instead of running the
+    one-pass `_run_scan`.  Two more prunes read that
     stack; neither cuts a prefix that some member extends:
 
     - All-b tail.  Once no a is left, the rest is b^rem_b from the top level

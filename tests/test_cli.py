@@ -1,9 +1,15 @@
 """CLI behaviour: outputs, determinism, exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffdyck
 from ffdyck.cli import main
 
 
@@ -241,3 +247,25 @@ def test_hostile_argv(capsys, monkeypatch, argv, env, want):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == want and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_grammar_letter_budget_stops_a_huge_generate():
+    # At length 351 every word is 351 letters: the word cap alone let this run
+    # grow to gigabytes.  The child's address space is capped so that a
+    # regression fails here instead of exhausting the machine.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {k: v for k, v in os.environ.items() if k != "DYCK_BRUTE_CAP"}
+    env["PYTHONPATH"] = str(Path(ffdyck.__file__).resolve().parent.parent)
+    argv = "generate --m 2 --n 50 --language U".split()
+    done = subprocess.run(
+        [sys.executable, "-m", "ffdyck", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_memory,
+        timeout=10,
+    )
+    assert done.returncode == 3 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")

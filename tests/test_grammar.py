@@ -110,6 +110,17 @@ def test_primitive_index_bounds():
 def test_cap_applies_to_grammar():
     with pytest.raises(CapExceeded):
         generate_u_words(1, 12, cap=10)
+    # U at (2, 4) materializes 2664 words of 76,860 letters in all, so the
+    # letter budget of 10 x the cap binds first
+    assert len(generate_u_words(2, 4, cap=7686)) == count_u(2, 4)
+    with pytest.raises(CapExceeded):
+        generate_u_words(2, 4, cap=7685)
+
+
+def test_default_cap_covers_slope_5_2_at_size_6(monkeypatch):
+    monkeypatch.delenv("DYCK_BRUTE_CAP", raising=False)
+    assert len(generate_u_words(2, 6)) == count_u(2, 6)
+    assert len(generate_d_words(2, 6)) == count_d(2, 6)
 
 
 def test_generated_words_have_uniform_letter_counts():

@@ -1,6 +1,7 @@
 """Word predicates, profiles, and the brute-force enumerators."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -28,6 +29,54 @@ def all_words(max_len: int):
     for length in range(max_len + 1):
         for tup in itertools.product("ab", repeat=length):
             yield "".join(tup)
+
+
+def replay_factor_free(word, m):
+    # reference: the brute search's per-letter step over the whole profile
+    stack = None
+    for j, h in enumerate(prefix_profile(word, m)):
+        stack, start = words._dyck_factor_start(stack, h, j)
+        if start is not None and (start, j) != (0, len(word)):
+            return False
+    return True
+
+
+def spliced_u_word(m, n, rng, tall):
+    """A U-word of size n: size-1 U-words spliced in one at a time.
+
+    Each letter a of a spliced block opens a slot right after it, and each
+    slot takes one later block, which keeps the word in U.  Tall words
+    always splice into the newest block, shallow ones into any open slot.
+    """
+    blocks = brute_enumerate_u(m, 1)
+    word, free, newest = "", [0], [0]
+    for _ in range(n):
+        slot = rng.choice(newest if tall else free)
+        block = rng.choice(blocks)
+        free.remove(slot)
+        newest = [slot + i + 1 for i, c in enumerate(block) if c == "a"]
+        free = [s + len(block) if s > slot else s for s in free] + newest
+        word = word[:slot] + block + word[slot:]
+    return word
+
+
+def long_words():
+    """Seeded words of size 100-300 with verdicts known by construction.
+
+    Yields (m, word, in U, factor-free): shallow and tall U-words, a D-word
+    a u b^m a v b^m b, and each of them with a size-1 D-word spliced in.
+    """
+    rng = random.Random(2018)
+    for m in (1, 2, 3):
+        tail = "b" * m
+        shallow = spliced_u_word(m, rng.randint(100, 300), rng, tall=False)
+        tall = spliced_u_word(m, rng.randint(100, 300), rng, tall=True)
+        u, v = (spliced_u_word(m, rng.randint(50, 150), rng, tall=False) for _ in "uv")
+        d_word = "a" + u + tail + "a" + v + tail + "b"
+        for word, in_u in ((shallow, True), (tall, True), (d_word, False)):
+            yield m, word, in_u, True
+            pos = rng.randrange(len(word) + 1)
+            yield m, word[:pos] + rng.choice(brute_enumerate_d(m, 1)) + word[pos:], False, False
 
 
 def test_valuation():
@@ -77,7 +126,11 @@ def test_factor_free_against_naive_scan():
 
     for m in (1, 2, 3):
         for w in all_words(9):
-            assert is_factor_free(w, m) == naive(w, m), (w, m)
+            assert is_factor_free(w, m) == naive(w, m) == replay_factor_free(w, m), (w, m)
+    # past what the naive scan can reach, the per-letter replay is the reference
+    for m, w, _, factor_free in long_words():
+        assert is_factor_free(w, m) == replay_factor_free(w, m) == factor_free, (m, len(w))
+        assert is_in_d(w, m) == (is_dyck(w, m) and factor_free), (m, len(w))
 
 
 def test_is_in_d():
@@ -112,11 +165,13 @@ def test_one_pass_is_in_u_matches_profile_formulation():
         prof = prefix_profile(word, m)
         if prof[-1] != 0 or not -2 * m < min(prof) < 0:
             return False
-        return is_factor_free("a" + word + "b" * m, m)
+        return replay_factor_free("a" + word + "b" * m, m)
 
     for m in (1, 2, 3):
         for w in all_words(12):
             assert is_in_u(w, m) == profile_is_in_u(w, m), (w, m)
+    for m, w, in_u, _ in long_words():
+        assert is_in_u(w, m) == profile_is_in_u(w, m) == in_u, (m, len(w))
     chain = "ba" * 1200 + "bbbab" * 1200  # the word of a 1200-deep blue chain
     assert is_in_u(chain, 2) and profile_is_in_u(chain, 2)
     for i in (0, 1, 2399, 2400, 4500, 8398):
