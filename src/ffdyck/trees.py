@@ -14,23 +14,26 @@ and longer words arise by inserting words into these blocks right after a
 letter a.  Serializing a tree is a counterclockwise traversal emitting the
 edge labels above; parsing a word replays the traversal left to right.
 
-Parsing works on the maximal run of b's preceding each a (and the run that
-ends the word).  Such a run splays into a sequence of upward moves followed
-by one sibling gap: a run of length 0 or 1 is a new first-child edge ("a",
-or "ba" coloring the parent blue); otherwise upward moves are peeled off the
-left of the run until 3 b's remain (an uncolored sibling gap) or 4 remain
-while the cursor's parent is a still-childless-but-one uncolored node (the
-red gap).  An upward move consumes two b's and paints the abandoned parent
-green when that parent is an uncolored two-child node entered through a
-plain "a" edge, and one b otherwise.  These cases are mutually exclusive, so
-the parse is deterministic; round-trip tests over every word of lengths 7,
-14 and 21 pin the reading down.
+Parsing reads the word's b-runs, `word.split("a")`, in one pass.  Each a
+ends a down token or a gap token and opens one child slot; each b-run holds
+the up tokens of the nodes it closes, then the b's of the token its a ends.
+A run of 0 or 1 b's before an a fills the slot with a new node ("a", or "ba"
+coloring it blue).  A longer run leaves the slot a leaf, and open nodes
+close until 3 b's remain (a plain gap) or 4 remain under an uncolored node
+with no child yet (the red gap); the run after the last a closes every open
+node and must be used up exactly.  A closing node spends two b's and turns
+green when it is uncolored with two children, and one b otherwise.  These
+cases are mutually exclusive, so the parse is deterministic.  The round
+trips over every word and every tree with n <= 3 (selfcheck), over all of U
+at n = 4, deep chains of each node kind and seeded words with n = 100 to 300
+pin the reading down, and every other word of up to 14 letters must fail the
+replay.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Iterator
+from typing import Any
 
 from .words import CapExceeded, MalformedTraversal, brute_cap, check_args, is_in_u
 
@@ -324,167 +327,73 @@ def tree_to_word(tree: ColoredTree) -> str:
     return _render(tree, "", _WORD_TOKENS)
 
 
-class _Node:
-    """Mutable node used while replaying a word; frozen afterwards."""
-
-    __slots__ = ("color", "children", "parent", "first_edge")
-
-    def __init__(self, parent: "_Node | None"):
-        self.color: str | None = None
-        self.children: list[_Node] = []
-        self.parent = parent
-        self.first_edge: str | None = None
-
-    def freeze(self) -> ColoredTree:
-        """Build the immutable tree bottom-up, without recursion."""
-        order: list[_Node] = []
-        todo = [self]
-        while todo:
-            node = todo.pop()
-            order.append(node)
-            todo.extend(node.children)
-        frozen: dict[int, ColoredTree] = {}
-        try:
-            for node in reversed(order):
-                frozen[id(node)] = ColoredTree(
-                    node.color, tuple(frozen.pop(id(c)) for c in node.children)
-                )
-        except MalformedTree as exc:
-            raise MalformedTraversal(f"replay built an invalid tree: {exc}") from exc
-        return frozen[id(self)]
-
-
-def _groups(word: str) -> Iterator[tuple[int, bool]]:
-    """(length of b-run, whether an `a` follows) for each maximal b-run."""
-    run = 0
-    for c in word:
-        if c == "b":
-            run += 1
-        else:
-            yield run, True
-            run = 0
-    yield run, False
-
-
 def word_to_tree(word: str) -> ColoredTree:
     """Parse a nonempty slope-5/2 U-word into its colored tree."""
     if not word or not is_in_u(word, 2):
         raise NotInU(f"not a nonempty U-word for slope 5/2: {word!r}")
+    runs = word.split("a")
+    last = len(runs) - 1
+    stack: list[list[Any]] = []  # open nodes, innermost last: [color, children]
+    try:
+        for i, run in enumerate(map(len, runs)):
+            if run < 2 and i < last:
+                stack.append(["blue" if run else None, []])
+                continue
+            # the slot is a leaf: close nodes until 3 b's remain (a plain gap)
+            # or 4 under an uncolored node with no child yet (the red gap);
+            # after the last a, close every node
+            node = LEAF
+            while stack and (
+                i == last or run > 4 or (run == 4 and (stack[-1][0] or stack[-1][1]))
+            ):
+                color, kids = stack.pop()
+                kids.append(node)
+                green = color is None and len(kids) == 2
+                run -= 1 + green
+                node = ColoredTree("green" if green else color, kids)
+            if i < last:
+                if not stack or run not in (3, 4):
+                    raise MalformedTraversal(
+                        f"b-run remainder {run} fits no gap here (word {word!r})"
+                    )
+                stack[-1][1].append(node)
+                if run == 4:
+                    stack[-1][0] = "red"
+    except MalformedTree as exc:
+        raise MalformedTraversal(
+            f"replay built an invalid tree: {exc} (word {word!r})"
+        ) from exc
+    if run:
+        raise MalformedTraversal(f"the last b-run does not end at the root (word {word!r})")
+    return node
 
-    root = _Node(None)
-    cursor = root
 
-    def fail(msg: str) -> MalformedTraversal:
-        return MalformedTraversal(f"{msg} (word {word!r})")
+# (color, outdegree) of each inner-node kind
+_KINDS = (("blue", 2), ("red", 2), ("green", 2), (None, 4))
 
-    def descend(label: str) -> None:
-        nonlocal cursor
-        if cursor.children:
-            raise fail("first-child edge from a node that already has children")
-        if label == "ba":
-            if cursor.color is not None:
-                raise fail("blue edge into an already colored node")
-            cursor.color = "blue"
-        cursor.first_edge = label
-        child = _Node(cursor)
-        cursor.children.append(child)
-        cursor = child
 
-    def green_move_applies() -> bool:
-        p = cursor.parent
-        return (
-            p is not None
-            and p.color is None
-            and len(p.children) == 2
-            and p.children[-1] is cursor
-            and p.first_edge == "a"
-        )
-
-    def plain_move_applies() -> bool:
-        p = cursor.parent
-        if p is None or p.children[-1] is not cursor:
-            return False
-        deg = len(p.children)
-        return deg == 4 or (deg == 2 and p.color is not None)
-
-    def move_up(remaining: int) -> int:
-        nonlocal cursor
-        if green_move_applies():
-            if remaining < 2:
-                raise fail("green ascent needs two b's")
-            cursor.parent.color = "green"
-            cursor = cursor.parent
-            return remaining - 2
-        if plain_move_applies():
-            cursor = cursor.parent
-            return remaining - 1
-        raise fail("no ascent is possible here")
-
-    def red_gap_applies() -> bool:
-        p = cursor.parent
-        return p is not None and p.color is None and len(p.children) == 1
-
-    def add_sibling(red: bool) -> None:
-        nonlocal cursor
-        p = cursor.parent
-        if p is None or p.children[-1] is not cursor:
-            raise fail("sibling gap outside a parent's child list")
-        if red:
-            p.color = "red"
-        elif p.color == "red" or p.color == "green":
-            raise fail(f"plain gap under a {p.color} node")
-        elif p.color == "blue" and len(p.children) != 1:
-            raise fail("blue node taking a third child")
-        if len(p.children) >= 4:
-            raise fail("node taking a fifth child")
-        child = _Node(p)
-        p.children.append(child)
-        cursor = child
-
-    for run, has_a in _groups(word):
-        if has_a:
-            if run == 0:
-                descend("a")
-            elif run == 1:
-                descend("ba")
-            else:
-                remaining = run
-                while remaining != 3 and not (remaining == 4 and red_gap_applies()):
-                    if remaining <= 2:
-                        raise fail(f"b-run remainder {remaining} fits no token")
-                    remaining = move_up(remaining)
-                add_sibling(red=remaining == 4)
-        else:
-            remaining = run
-            while remaining > 0:
-                remaining = move_up(remaining)
-            if cursor is not root:
-                raise fail("word ended away from the root")
-
-    return root.freeze()
+def _forests(
+    k: int, edges: int, smaller: dict[int, tuple[ColoredTree, ...]]
+) -> list[tuple[ColoredTree, ...]]:
+    """k-tuples of trees from `smaller` whose edge counts sum to `edges`."""
+    if k == 0:
+        return [()] if edges == 0 else []
+    out: list[tuple[ColoredTree, ...]] = []
+    for first in range(0, edges + 1, 2):
+        rests = _forests(k - 1, edges - first, smaller)
+        out.extend((tree, *rest) for tree in smaller[first] for rest in rests)
+    return out
 
 
 def _trees_with_edges(
     edges: int, smaller: dict[int, tuple[ColoredTree, ...]]
 ) -> tuple[ColoredTree, ...]:
     """Trees with `edges` >= 2 edges, sorted; smaller[e] holds those with e < edges."""
-    out: list[ColoredTree] = []
-    for left in range(0, edges - 2 + 1, 2):
-        for t1 in smaller[left]:
-            for t2 in smaller[edges - 2 - left]:
-                for color in COLORS:
-                    out.append(ColoredTree(color, (t1, t2)))
-    if edges >= 4:
-        budget = edges - 4
-        for e1 in range(0, budget + 1, 2):
-            for e2 in range(0, budget - e1 + 1, 2):
-                for e3 in range(0, budget - e1 - e2 + 1, 2):
-                    e4 = budget - e1 - e2 - e3
-                    for t1 in smaller[e1]:
-                        for t2 in smaller[e2]:
-                            for t3 in smaller[e3]:
-                                for t4 in smaller[e4]:
-                                    out.append(ColoredTree(None, (t1, t2, t3, t4)))
+    out = [
+        ColoredTree(color, kids)
+        for color, deg in _KINDS
+        for kids in _forests(deg, edges - deg, smaller)
+    ]
     return tuple(sorted(out, key=ColoredTree.canonical))
 
 

@@ -1,11 +1,13 @@
 """Colored-tree bijection for slope 5/2."""
 
+import itertools
 import json
 import pickle
+import random
 
 import pytest
 
-from ffdyck import selfcheck
+from ffdyck import selfcheck, trees
 from ffdyck.grammar import generate_u_words
 from ffdyck.trees import (
     LEAF,
@@ -16,7 +18,7 @@ from ffdyck.trees import (
     tree_to_word,
     word_to_tree,
 )
-from ffdyck.words import is_in_u
+from ffdyck.words import MalformedTraversal, is_in_u
 
 TEN_EDGE_WORD = "abbbbaabbbabbbaababbbabbbbabbbbbabb"
 
@@ -139,6 +141,49 @@ def test_deep_blue_chain_round_trip():
     text = back.to_json_text()
     assert text.startswith('{"color": "blue", "children": [' * 1200)
     assert ColoredTree.from_json_text(text) == tree
+
+
+@pytest.mark.parametrize("kind", [BLUE, RED, GREEN, FOUR], ids=lambda t: t.canonical()[0])
+@pytest.mark.parametrize("through", ["first", "last"])
+def test_deep_chain_word_round_trip(kind, through):
+    # 1200 nodes of one kind nested through one child; a last-child chain
+    # ends in one b-run of 1200 to 2400 letters that closes every node
+    tree = LEAF
+    for _ in range(1200):
+        kids = list(kind.children)
+        kids[0 if through == "first" else -1] = tree
+        tree = ColoredTree(kind.color, tuple(kids))
+    word = tree_to_word(tree)
+    back = word_to_tree(word)
+    assert back == tree and tree_to_word(back) == word
+    assert back.edge_count == 1200 * len(kind.children)
+
+
+def test_long_spliced_words_round_trip(spliced_u_word):
+    rng = random.Random(2018)
+    for tall in (False, True):
+        n = rng.randint(100, 300)
+        word = spliced_u_word(2, n, rng, tall)
+        tree = word_to_tree(word)
+        assert tree.edge_count == 2 * n
+        assert tree_to_word(tree) == word
+
+
+def test_replay_faults_raise_malformed_traversal(monkeypatch):
+    # past the membership gate, every word either decodes to a tree that
+    # spells it back or fails the replay with MalformedTraversal
+    monkeypatch.setattr(trees, "is_in_u", lambda word, m: True)
+    decoded = set()
+    for length in range(1, 15):
+        for letters in itertools.product("ab", repeat=length):
+            word = "".join(letters)
+            try:
+                tree = word_to_tree(word)
+            except MalformedTraversal:
+                continue
+            assert tree_to_word(tree) == word
+            decoded.add(word)
+    assert decoded == set(generate_u_words(2, 1) + generate_u_words(2, 2))
 
 
 def test_tree_is_an_immutable_value():

@@ -41,26 +41,7 @@ def replay_factor_free(word, m):
     return True
 
 
-def spliced_u_word(m, n, rng, tall):
-    """A U-word of size n: size-1 U-words spliced in one at a time.
-
-    Each letter a of a spliced block opens a slot right after it, and each
-    slot takes one later block, which keeps the word in U.  Tall words
-    always splice into the newest block, shallow ones into any open slot.
-    """
-    blocks = brute_enumerate_u(m, 1)
-    word, free, newest = "", [0], [0]
-    for _ in range(n):
-        slot = rng.choice(newest if tall else free)
-        block = rng.choice(blocks)
-        free.remove(slot)
-        newest = [slot + i + 1 for i, c in enumerate(block) if c == "a"]
-        free = [s + len(block) if s > slot else s for s in free] + newest
-        word = word[:slot] + block + word[slot:]
-    return word
-
-
-def long_words():
+def long_words(spliced_u_word):
     """Seeded words of size 100-300 with verdicts known by construction.
 
     Yields (m, word, in U, factor-free): shallow and tall U-words, a D-word
@@ -114,7 +95,7 @@ def test_is_factor_free():
     assert is_factor_free("a", 1) and is_factor_free("b", 1)
 
 
-def test_factor_free_against_naive_scan():
+def test_factor_free_against_naive_scan(spliced_u_word):
     def naive(w, m):
         for i in range(len(w)):
             for j in range(i + 1, len(w) + 1):
@@ -128,7 +109,7 @@ def test_factor_free_against_naive_scan():
         for w in all_words(9):
             assert is_factor_free(w, m) == naive(w, m) == replay_factor_free(w, m), (w, m)
     # past what the naive scan can reach, the per-letter replay is the reference
-    for m, w, _, factor_free in long_words():
+    for m, w, _, factor_free in long_words(spliced_u_word):
         assert is_factor_free(w, m) == replay_factor_free(w, m) == factor_free, (m, len(w))
         assert is_in_d(w, m) == (is_dyck(w, m) and factor_free), (m, len(w))
 
@@ -157,7 +138,7 @@ def test_is_in_u_rejects_frame_straddling_suffixes():
         assert not is_in_u(w, 2)
 
 
-def test_one_pass_is_in_u_matches_profile_formulation():
+def test_one_pass_is_in_u_matches_profile_formulation(spliced_u_word):
     def profile_is_in_u(word, m):
         # reference: the whole prefix profile, then the framed factor check
         if not word:
@@ -170,7 +151,7 @@ def test_one_pass_is_in_u_matches_profile_formulation():
     for m in (1, 2, 3):
         for w in all_words(12):
             assert is_in_u(w, m) == profile_is_in_u(w, m), (w, m)
-    for m, w, in_u, _ in long_words():
+    for m, w, in_u, _ in long_words(spliced_u_word):
         assert is_in_u(w, m) == profile_is_in_u(w, m) == in_u, (m, len(w))
     chain = "ba" * 1200 + "bbbab" * 1200  # the word of a 1200-deep blue chain
     assert is_in_u(chain, 2) and profile_is_in_u(chain, 2)
