@@ -8,9 +8,11 @@ count_colored_dyck is a deliberately independent dynamic program over
 colored classical Dyck paths; it shares no code with the Bell formula or the
 series solvers so it can serve as an oracle for both.  It advances one block
 (a maximal ascent with the down step that ends it) per row, keeps only the
-heights of the row's parity from which the path can still return to 0, and
-builds each row from shifted slices of the last one with C-level `map`
-passes.
+heights of the row's parity that the path can both reach and still return
+to 0 from, and builds each row from shifted slices of the last one, padded
+with zeros at both ends, with C-level `map` passes; the slice of weight 1 is
+added without a multiply.  count_u_slope52 sums its single-sum closed form
+by the ratio of consecutive terms, with an exact division at every step.
 
 Rational prefactors are evaluated as integer division with an exactness
 check; an inexact division means a transcription bug, never bad input.
@@ -43,6 +45,7 @@ def ascent_weight(m: int, j: int) -> int:
     These are the coefficients of the functional equation of the U series and
     simultaneously the number of primitive words of length (2m+3)j.
     """
+    check_args(m)
     if j < 0 or j > m:
         return 0
     return comb(m + j, m - j)
@@ -61,14 +64,23 @@ def count_u(m: int, n: int) -> int:
 def count_u_slope52(n: int) -> int:
     """Slope-5/2 specialization of count_u via its single-sum closed form.
 
-    Evaluates (1/(2n+1)) * sum_{k=ceil(n/2)}^{n} C(2n+1, k) C(k, n-k) 3^(2k-n)
-    and must agree with count_u(2, n).
+    Evaluates (1/(2n+1)) * sum_{k=ceil(n/2)}^{n} t_k with t_k = C(2n+1, k)
+    C(k, n-k) 3^(2k-n), and must agree with count_u(2, n).  Only the first
+    term is built from binomials; each next one follows from the ratio
+    t_{k+1} / t_k = 9 (2n+1-k)(n-k) / ((2k-n+2)(2k-n+1)), applied as an
+    exact division, so a wrong ratio raises NonIntegerResult.
     """
     check_args(2, n)
-    total = sum(
-        comb(2 * n + 1, k) * comb(k, n - k) * 3 ** (2 * k - n)
-        for k in range((n + 1) // 2, n + 1)
-    )
+    low = (n + 1) // 2
+    term = comb(2 * n + 1, low) * comb(low, n - low) * 3 ** (2 * low - n)
+    total = term
+    for k in range(low, n):
+        term = _exact_div(
+            term * 9 * (2 * n + 1 - k) * (n - k),
+            (2 * k - n + 2) * (2 * k - n + 1),
+            f"count_u_slope52(n={n}) term {k + 1}",
+        )
+        total += term
     return _exact_div(total, 2 * n + 1, f"count_u_slope52(n={n})")
 
 
@@ -81,6 +93,8 @@ def u_odd_power_coeff(m: int, nu: int, ell: int) -> int:
     of any power of U must be.
     """
     check_args(m, nu)
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
     return _odd_power_from_row(m, nu, ell, bell_table(nu, _weighted_args(m))[nu])
 
 
@@ -123,25 +137,30 @@ def count_colored_dyck(m: int, n: int) -> int:
 
     The DP has one row per block boundary, rows 0..2n.  Row k keeps only
     the heights a walk can have after k blocks and still come back: every
-    step is odd, so h has the parity of k; each of the 2n - k blocks left
-    goes down by at most 1, so h <= 2n - k.  Entry i of row k is height
-    k % 2 + 2i, and a block of ascent 2j moves entry i + s - j of row k to
-    entry i of row k + 1, where s = (k + 1) % 2.  So the next row is the sum
-    of m + 1 shifted slices of the current one, each times its weight.  The
-    sum is built from chained `map(add, ...)` and `map(mul, ...)` calls that
-    one `list` call runs in C, with no per-cell bytecode, bound test or
-    double indexing.  Slices reaching below height 0 read the m zeros padded
-    in front; the bound 2n - k keeps every slice inside the row at the top.
+    step is odd, so h has the parity of k; each block goes up by at most
+    2m - 1, so h <= (2m - 1) k; each of the 2n - k blocks left goes down by
+    at most 1, so h <= 2n - k.  Entry i of row k is height k % 2 + 2i, and a
+    block of ascent 2j moves entry i + s - j of row k to entry i of row
+    k + 1, where s = (k + 1) % 2.  So the next row is the sum of m + 1
+    shifted slices of the current one, each times its weight.  The sum is
+    built from chained `map(add, ...)` and `map(mul, ...)` calls that one
+    `list` call runs in C, with no per-cell bytecode, bound test or double
+    indexing; the slice for j = m has weight C(2m, 0) = 1 and is added
+    without a multiply, so at m = 1 a row takes additions only.  The row is
+    padded with m zeros at each end: slices reaching below height 0 read
+    the front ones, and the down-step slice, which reads up to m entries
+    past the top reachable height of row k, reads the back ones.
     """
     check_args(m, n)
-    weights = [comb(m + j, m - j) for j in range(1, m + 1)]
+    weights = [comb(m + j, m - j) for j in range(1, m)]  # j = m has weight 1
     pad = [0] * m
-    row = [1] + [0] * n  # heights 0, 2, ..., 2n
+    row = [1]  # height 0, the only one reachable after 0 blocks
     for k in range(2 * n):
         s = 1 - k % 2
-        size = (2 * n - k - 1 - s) // 2 + 1  # heights s + 2i <= 2n - k - 1
-        padded = pad + row
-        acc = padded[m + s : m + s + size]
+        top = min(2 * n - k - 1, (2 * m - 1) * (k + 1))
+        size = (top - s) // 2 + 1  # heights s + 2i <= top
+        padded = pad + row + pad
+        acc = map(add, padded[m + s : m + s + size], padded[s : s + size])
         for j, weight in enumerate(weights, 1):
             seg = padded[m + s - j : m + s - j + size]
             acc = map(add, acc, map(mul, seg, repeat(weight)))

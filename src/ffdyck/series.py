@@ -12,7 +12,11 @@ All solvers work online, one coefficient index at a time: every right-hand
 side carries a factor of the series variable, so the n-th coefficient of each
 unknown reads only coefficients below n.  The U solver keeps the coefficient
 lists of the powers U^e, e = 0..2m, and extends each power by one convolution
-with U per index, so a solve to order n costs O(m n^2) integer operations.
+with U per index, so a U or D solve to order n costs O(m n^2) integer
+operations.  Every L_1 word has valuation 1, so its length is m+1 mod 2m+3
+and L_1 is zero off that residue class; the L solver's convolutions with L_1
+step over L_1's lengths only, which divides their cost by 2m+3, and a guard
+raises if a coefficient of L_1 off the class comes out nonzero.
 Each solver returns the coefficients 0..order as a tuple of ints; selfcheck
 checks them against their equations with a truncated product of its own.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 from operator import mul
 
 from .bell import binomial
-from .words import check_args
+from .words import check_args, period
 
 
 def _u_powers(m: int, order: int) -> list[list[int]]:
@@ -64,18 +68,26 @@ def l_series(m: int, i: int, order: int) -> tuple[int, ...]:
     """Counting series in tau of the i-th one-letter-step language, 1 <= i <= 2m+1.
 
     At each index n the unknowns are filled from L_{2m+1} down to L_1; every
-    right-hand side reads only coefficients below n.
+    right-hand side reads only coefficients below n.  The product tau L_1
+    L_{k+1} sums over the lengths m+1 + r(2m+3) < n of L_1 words only; after
+    each index an AssertionError is raised if L_1's new coefficient is
+    nonzero off that class, so no skipped product is ever nonzero.
     """
     check_args(m, order)
     top = 2 * m + 1
     if not 1 <= i <= top:
         raise ValueError(f"index i must lie in 1..{top}, got {i}")
+    step = period(m)
     ls = [[0] for _ in range(top + 1)]
     l1 = ls[1]
     for n in range(1, order + 1):
         ls[top].append(1 if n == 1 else 0)
         ls[top - 1].append(l1[n - 2] if n >= 2 else 0)
+        l1_class = l1[m + 1 :: step]  # L_1 on its lengths below n; empty for n <= m + 1
+        back = n - 2 - m  # the index of L_{k+1} that meets L_1's length m + 1
         for k in range(top - 2, 0, -1):
-            after = ls[k + 1]
-            ls[k].append(sum(map(mul, l1, after[n - 1 :: -1])) + ls[k + 2][n - 1])
+            after = ls[k + 1][back::-step]
+            ls[k].append(sum(map(mul, l1_class, after)) + ls[k + 2][n - 1])
+        if l1[n] and n % step != m + 1:
+            raise AssertionError(f"L_1 has a word of length {n}, not {m + 1} mod {step}")
     return tuple(ls[i])

@@ -130,6 +130,8 @@ def test_counts_past_enumerable_sizes():
         for n in range(31):
             assert count_colored_dyck(m, n) == count_u(m, n), (m, n)
     assert count_colored_dyck(3, 400) == count_u(3, 400)
+    for n in (0, 1, 2, 3, 301, 400):
+        assert count_u_slope52(n) == count_u(2, n), n
     catalan_199, catalan_200 = comb(398, 199) // 200, comb(400, 200) // 201
     assert count_u(1, 200) == catalan_200
     assert count_d(1, 200) == catalan_200 + catalan_199
@@ -146,6 +148,10 @@ def test_counts_past_enumerable_sizes():
         pytest.param(count_colored_dyck, (2, -1), "n must be >= 0", id="colored-n"),
         pytest.param(u_odd_power_coeff, (0, 1, 0), "m must be >= 1", id="odd_power-m"),
         pytest.param(u_odd_power_coeff, (2, -1, 0), "n must be >= 0", id="odd_power-n"),
+        pytest.param(u_odd_power_coeff, (2, 1, -1), "ell must be >= 0", id="odd_power-ell"),
+        pytest.param(u_odd_power_coeff, (2, 3, -2), "ell must be >= 0", id="odd_power-ell2"),
+        pytest.param(ascent_weight, (0, 0), "m must be >= 1", id="ascent_weight-m0"),
+        pytest.param(ascent_weight, (-1, 0), "m must be >= 1", id="ascent_weight-m-1"),
         pytest.param(count_u_slope52, (-1,), "n must be >= 0", id="slope52-n"),
         pytest.param(u_series, (2, -1), "n must be >= 0", id="u_series-n"),
         pytest.param(d_series, (2, -1), "n must be >= 0", id="d_series-n"),

@@ -1,6 +1,10 @@
 """The generating-function solvers and selfcheck's series helper."""
 
-from ffdyck import selfcheck
+from operator import mul
+
+import pytest
+
+from ffdyck import selfcheck, series
 from ffdyck.selfcheck import series_sum
 from ffdyck.series import d_series, l_series, u_series
 
@@ -37,6 +41,34 @@ def test_l_series_l1_leading_coefficients():
     assert sum(1 for c in l1 if c) == 2
     l1_52 = l_series(2, 1, 10)
     assert l1_52[3] == 1 and l1_52[10] == 3
+
+
+def dense_l_series(m, order):
+    """Every L_i to the given order, each product with L_1 summed over all lengths."""
+    top = 2 * m + 1
+    ls = [[0] for _ in range(top + 1)]
+    l1 = ls[1]
+    for n in range(1, order + 1):
+        ls[top].append(1 if n == 1 else 0)
+        ls[top - 1].append(l1[n - 2] if n >= 2 else 0)
+        for k in range(top - 2, 0, -1):
+            after = ls[k + 1]
+            ls[k].append(sum(map(mul, l1, after[n - 1 :: -1])) + ls[k + 2][n - 1])
+    return [tuple(c) for c in ls]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_l_series_matches_dense_solve(m):
+    dense = dense_l_series(m, 300)
+    for i in range(1, 2 * m + 2):
+        assert l_series(m, i, 300) == dense[i], i
+
+
+def test_l_series_guard_catches_a_wrong_stride(monkeypatch):
+    # with the wrong period L_1 gets a word off its residue class, which must raise
+    monkeypatch.setattr(series, "period", lambda m: 2 * m + 4)
+    with pytest.raises(AssertionError, match="L_1 has a word of length 7"):
+        l_series(1, 1, 40)
 
 
 # The invariant behind each of these ids is written once, in selfcheck.CHECKS:
