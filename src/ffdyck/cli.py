@@ -3,12 +3,12 @@
 Subcommands: count, generate, verify, tree, codes, selfcheck.  Output is
 deterministic for identical invocations and all word lists are sorted.
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid arguments or a
-non-integer DYCK_BRUTE_CAP, 3 brute force cap exceeded (cap configurable via
-the DYCK_BRUTE_CAP variable).  Values are checked by the library's input
-contract, not here: main turns its ValueError into exit 2 and one "error:"
-line on stderr.  That covers tree input too: a word outside U for --encode,
-and for --decode JSON that does not parse or a tree that breaks the
-outdegree and color rules.  The CLI's own rules (--n-max >= 1, a word over
+non-integer or negative DYCK_BRUTE_CAP, 3 brute force cap exceeded (cap
+configurable via the DYCK_BRUTE_CAP variable).  Values are checked by the
+library's input contract, not here: main turns its ValueError into exit 2
+and one "error:" line on stderr.  That covers tree input too: a word outside
+U for --encode, and for --decode JSON that does not parse or a tree that
+breaks the outdegree and color rules.  The CLI's own rules (--n-max >= 1, a word over
 01 for --alphabet 01) raise the same way.
 
 Each subcommand imports the library modules (and json) it runs, so a child

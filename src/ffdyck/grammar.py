@@ -11,27 +11,27 @@ L_1 .. L_{2m+1} is
 an unambiguous context-free grammar.  L_i holds the factor-free words of
 total valuation i whose nonempty prefixes all have valuation above i.  Every
 L_1 word factors as a * u * b^m with u in U, which is how U-words are
-produced here: expand L_1 and strip the frame.  Expansion is length-indexed
-and memoized per call; duplicate derivations are NOT collapsed, so an
+produced here: expand L_1 and strip the frame.
+
+Expansion is length-indexed and memoized per call.  A word of L_i and length
+l has valuation i = (2m+3)#a - 2l, so L_i is empty unless i + 2l is a
+multiple of 2m+3: the expander returns at once at every other length, and it
+steps the split point of L_{i+1} L_1 b by 2m+3 from the one residue where
+L_{i+1} can be nonempty.  Each product L_{i+1} x L_1 x {b} is joined in one
+C-level pass, `map("".join, product(...))`, and U-words are sorted once,
+after the frame is stripped.  Duplicate derivations are NOT collapsed: every
+derivation still yields its own word and no set union is taken, so an
 ambiguity bug would surface as a count mismatch in the tests rather than
-being silently hidden by a set union.
+being silently hidden.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, product, repeat
+from math import comb
+from operator import itemgetter
+
 from .words import CapExceeded, brute_cap, check_args, period
-
-
-def _a_count(m: int, i: int, length: int) -> int | None:
-    """Number of a's in any length-`length` word of valuation i, if integral."""
-    num = i + 2 * length
-    den = 2 * m + 3
-    if num % den:
-        return None
-    n_a = num // den
-    if not 0 <= n_a <= length:
-        return None
-    return n_a
 
 
 class _Expander:
@@ -43,11 +43,14 @@ class _Expander:
     proportional to their letters, which a second budget of 10 x the cap
     bounds (at the default cap, `generate --m 2 --n 6` holds 11.0 M letters).
     Each batch of words is charged before it is built, so no memo entry can
-    overshoot either budget.
+    overshoot either budget.  A length where L_i must be empty returns before
+    the memo and charges nothing.
     """
 
     def __init__(self, m: int, cap: int):
         self.m = m
+        self.per = period(m)
+        self.cap = cap
         self.words_left = cap
         self.letters_left = 10 * cap
         self.memo: dict[tuple[int, int], tuple[str, ...]] = {}
@@ -56,11 +59,20 @@ class _Expander:
         """Charge `count` words of `length` letters, about to be built."""
         self.words_left -= count
         self.letters_left -= count * length
-        if self.words_left < 0 or self.letters_left < 0:
-            raise CapExceeded("grammar expansion exceeds the brute-force cap")
+        if self.words_left < 0:
+            raise CapExceeded(
+                f"grammar expansion needs more than {self.cap} words,"
+                " the brute-force cap"
+            )
+        if self.letters_left < 0:
+            raise CapExceeded(
+                f"grammar expansion needs more than {10 * self.cap} letters,"
+                " 10 x the brute-force cap"
+            )
 
     def l_words(self, i: int, length: int) -> tuple[str, ...]:
-        if length < 1:
+        per = self.per
+        if length < 1 or (i + 2 * length) % per:
             return ()
         key = (i, length)
         cached = self.memo.get(key)
@@ -73,21 +85,22 @@ class _Expander:
         elif i == 2 * m:
             inner = self.l_words(1, length - 2)
             self.charge(len(inner), length)
-            words = tuple("a" + w + "b" for w in inner)
+            words = tuple(["a" + w + "b" for w in inner])
         else:
             acc: list[str] = []
-            for left_len in range(1, length - 1):
+            # L_{i+1} needs i+1 + 2 left_len = 0 (mod per); since 2(m+2) = 1
+            # (mod per), that is left_len = -(i+1)(m+2)
+            start = -(i + 1) * (m + 2) % per or per
+            for left_len in range(start, length - 1, per):
                 left = self.l_words(i + 1, left_len)
                 if not left:
                     continue
                 right = self.l_words(1, length - 1 - left_len)
                 self.charge(len(left) * len(right), length)
-                for u in left:
-                    for v in right:
-                        acc.append(u + v + "b")
+                acc += map("".join, product(left, right, ("b",)))
             shorter = self.l_words(i + 2, length - 1)
             self.charge(len(shorter), length)
-            acc.extend(u + "b" for u in shorter)
+            acc += [u + "b" for u in shorter]
             words = tuple(acc)
         self.memo[key] = words
         return words
@@ -98,8 +111,6 @@ def expand_l_words(m: int, i: int, length: int, cap: int | None = None) -> list[
     check_args(m, length)
     if not 1 <= i <= 2 * m + 1:
         raise ValueError(f"index i must lie in 1..{2 * m + 1}, got {i}")
-    if _a_count(m, i, length) is None:
-        return []
     return sorted(_Expander(m, brute_cap(cap)).l_words(i, length))
 
 
@@ -108,14 +119,20 @@ def generate_u_words(m: int, n: int, cap: int | None = None) -> list[str]:
     check_args(m, n)
     if n == 0:
         return [""]
-    framed = expand_l_words(m, 1, period(m) * n + m + 1, cap=cap)
+    expander = _Expander(m, brute_cap(cap))
+    framed = expander.l_words(1, period(m) * n + m + 1)
+    del expander  # frees every memo entry but the framed words
     tail = "b" * m
-    words = []
-    for w in framed:
-        if not (w.startswith("a") and w.endswith(tail)):
-            raise AssertionError(f"L_1 word lacks the a..b^{m} frame: {w}")
-        words.append(w[1 : len(w) - m])
-    return sorted(words)
+    if not (
+        all(map(str.startswith, framed, repeat("a")))
+        and all(map(str.endswith, framed, repeat(tail)))
+    ):
+        bad = next(w for w in framed if not (w.startswith("a") and w.endswith(tail)))
+        raise AssertionError(f"L_1 word lacks the a..b^{m} frame: {bad}")
+    words = list(map(itemgetter(slice(1, -m)), framed))
+    del framed
+    words.sort()
+    return words
 
 
 def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
@@ -130,34 +147,28 @@ def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
 
 
 def primitive_u_words(m: int, j: int, cap: int | None = None) -> list[str]:
-    """U-words of length (2m+3)j that are not an insertion of a smaller one.
+    """U-words of length (2m+3)j that are not an insertion of a smaller one, sorted.
 
     Longer U-words arise by splicing a nonempty U-word into a host U-word
     right after one of the host's letters a (every derivation slot of the
-    grammar sits directly after an a).  A word w is therefore discarded when
-    w = p + u + s with p ending in a, u a nonempty U-word, and p + s again a
-    nonempty U-word; what survives is the set of building blocks.  There are
-    C(m+j, m-j) of them at length (2m+3)j.
+    grammar sits directly after an a); what no such splice produces is the
+    set of building blocks.  They are built here in closed form: the b-runs
+    around their 2j letters a are (0, m+1, ..., m+1, 1), with 2j-1 middle
+    entries, plus a weak composition of the m-j remaining b's into the 2j+1
+    runs.  That gives C(m+j, 2j) = C(m+j, m-j) words, charged against the cap
+    before they are built.  The `primitive-blocks` selfcheck compares them
+    with the insertion filter itself.
     """
     check_args(m)
     if not 1 <= j <= m:
         raise ValueError(f"primitive words exist for 1 <= j <= m, got j={j}")
-    per = period(m)
-    candidates = generate_u_words(m, j, cap=cap)
-    shorter: dict[int, set[str]] = {
-        k: set(generate_u_words(m, k, cap=cap)) for k in range(1, j)
-    }
-
-    def is_insertion(w: str) -> bool:
-        for k in range(1, j):
-            inner_len = per * k
-            hosts = shorter[j - k]
-            for start in range(1, len(w) - inner_len + 1):
-                if w[start - 1] != "a":
-                    continue
-                if w[start : start + inner_len] in shorter[k]:
-                    if w[:start] + w[start + inner_len :] in hosts:
-                        return True
-        return False
-
-    return [w for w in candidates if not is_insertion(w)]
+    _Expander(m, brute_cap(cap)).charge(comb(m + j, m - j), period(m) * j)
+    base = [0] + [m + 1] * (2 * j - 1) + [1]
+    slots = m + j  # stars and bars: the m-j extra b's and 2j bars in a row
+    words = []
+    for bars in combinations(range(slots), 2 * j):
+        cuts = (-1, *bars, slots)
+        runs = [r + hi - lo - 1 for r, lo, hi in zip(base, cuts, cuts[1:])]
+        words.append("a".join(["b" * r for r in runs]))
+    words.sort()
+    return words

@@ -221,6 +221,31 @@ def check_unambiguity_counts(level: str) -> None:
         assert len(set(gd)) == len(gd), f"duplicate D derivations at m={m}, n={n}"
 
 
+def _primitive_by_insertion(m: int, j: int) -> list[str]:
+    """Size-j U-words that are no insertion of a smaller one, by exhaustive filter.
+
+    A word w is discarded when w = p + u + s with p ending in a, u a nonempty
+    U-word, and p + s again a nonempty U-word; what survives are the
+    building blocks that `grammar.primitive_u_words` builds in closed form.
+    """
+    per = words.period(m)
+    shorter = {k: set(grammar.generate_u_words(m, k)) for k in range(1, j)}
+
+    def is_insertion(w: str) -> bool:
+        for k in range(1, j):
+            inner_len = per * k
+            hosts = shorter[j - k]
+            for start in range(1, len(w) - inner_len + 1):
+                if w[start - 1] != "a":
+                    continue
+                if w[start : start + inner_len] in shorter[k]:
+                    if w[:start] + w[start + inner_len :] in hosts:
+                        return True
+        return False
+
+    return [w for w in grammar.generate_u_words(m, j) if not is_insertion(w)]
+
+
 def check_primitive_blocks(level: str) -> None:
     tops = {1: 1, 2: 2, 3: 3} if level == "full" else {1: 1, 2: 2}
     for m, jtop in tops.items():
@@ -229,6 +254,10 @@ def check_primitive_blocks(level: str) -> None:
             want = counting.ascent_weight(m, j)
             assert len(got) == want, (
                 f"primitive word count at m={m}, j={j}: {len(got)} != {want}"
+            )
+            assert got == _primitive_by_insertion(m, j), (
+                f"closed-form primitive words differ from the insertion filter"
+                f" at m={m}, j={j}"
             )
     assert grammar.primitive_u_words(2, 1) == ["abbbabb", "abbbbab", "babbbab"]
     assert grammar.primitive_u_words(2, 2) == ["abbbabbbabbbab"]

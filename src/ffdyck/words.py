@@ -54,14 +54,24 @@ class MalformedTraversal(Exception):
 
 
 def brute_cap(override: int | None = None) -> int:
-    """Active brute-force candidate cap (override arg, else env var, else default)."""
+    """Active brute-force candidate cap (override arg, else env var, else default).
+
+    A negative cap is rejected with a ValueError naming where it came from.
+    """
     if override is not None:
-        return override
-    raw = os.environ.get(BRUTE_CAP_ENV, str(DEFAULT_BRUTE_CAP))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}") from None
+        source, cap = "cap", override
+    else:
+        source = BRUTE_CAP_ENV
+        raw = os.environ.get(BRUTE_CAP_ENV, str(DEFAULT_BRUTE_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}"
+            ) from None
+    if cap < 0:
+        raise ValueError(f"{source} must be >= 0, got {cap}")
+    return cap
 
 
 def check_args(m: int, n: int = 0) -> None:

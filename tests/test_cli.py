@@ -237,6 +237,12 @@ def test_selfcheck_quick(capsys):
             2,
             id="cap-not-integer",
         ),
+        pytest.param(
+            "generate --m 1 --n 1 --language U",
+            {"DYCK_BRUTE_CAP": "-1"},
+            2,
+            id="cap-negative",
+        ),
     ],
 )
 def test_hostile_argv(capsys, monkeypatch, argv, env, want):

@@ -1,10 +1,12 @@
 """Grammar expansion: derivation-driven generation and primitive words."""
 
+import itertools
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from ffdyck import selfcheck
+from ffdyck import grammar, selfcheck
 from ffdyck.counting import count_d, count_u
 from ffdyck.grammar import (
     expand_l_words,
@@ -52,6 +54,24 @@ def test_expand_l_membership_conditions():
         assert produced == sorted(produced)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_expand_l_is_complete(m):
+    # an exhaustive filter by L_i's definition at every length up to 14: a
+    # stride that skips a length where L_i is nonempty loses words here
+    for length in range(1, 15):
+        want: dict[int, list[str]] = {i: [] for i in range(1, 2 * m + 2)}
+        for letters in itertools.product("ab", repeat=length):
+            w = "".join(letters)
+            prof = prefix_profile(w, m)
+            i = prof[-1]
+            if i not in want or min(prof[1:-1], default=i + 1) <= i:
+                continue
+            if is_factor_free(w, m):
+                want[i].append(w)
+        for i, ws in want.items():
+            assert expand_l_words(m, i, length) == ws, (m, i, length)
+
+
 def test_generate_u_examples():
     assert generate_u_words(1, 1) == ["abbab"]
     assert generate_u_words(1, 2) == ["aabbabbbab", "abbaabbabb"]
@@ -59,6 +79,14 @@ def test_generate_u_examples():
     length14 = generate_u_words(2, 2)
     assert len(length14) == 19
     assert "abbbabbbabbbab" in length14
+
+
+@pytest.mark.parametrize("framed", ["abbbabbbab", "babbbabbbb"])
+def test_frame_guard_fires(monkeypatch, framed):
+    # an L_1 word without the a..b^m frame is never stripped into a U-word
+    monkeypatch.setattr(grammar._Expander, "l_words", lambda self, i, length: (framed,))
+    with pytest.raises(AssertionError, match="lacks the a..b\\^2 frame"):
+        generate_u_words(2, 1)
 
 
 def test_generate_d_examples():
@@ -100,6 +128,16 @@ def test_primitive_words_slope72_table():
     assert len(got) == 12
 
 
+def test_primitive_words_closed_form_past_the_filter():
+    # sizes where the insertion filter took seconds or exceeded the cap
+    assert primitive_u_words(5, 5) == ["a" + "bbbbbba" * 9 + "b"]
+    got = primitive_u_words(7, 3)
+    assert len(got) == comb(10, 4) == 210
+    assert got == sorted(got) and all(len(w) == 17 * 3 for w in got)
+    with pytest.raises(CapExceeded, match="more than 209 words"):
+        primitive_u_words(7, 3, cap=209)
+
+
 def test_primitive_index_bounds():
     with pytest.raises(ValueError):
         primitive_u_words(2, 3)
@@ -108,12 +146,17 @@ def test_primitive_index_bounds():
 
 
 def test_cap_applies_to_grammar():
-    with pytest.raises(CapExceeded):
+    # the shortest L words are charged first, and they average under 10 letters
+    with pytest.raises(
+        CapExceeded, match=r"^grammar expansion needs more than 10 words,"
+    ):
         generate_u_words(1, 12, cap=10)
     # U at (2, 4) materializes 2664 words of 76,860 letters in all, so the
     # letter budget of 10 x the cap binds first
     assert len(generate_u_words(2, 4, cap=7686)) == count_u(2, 4)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(
+        CapExceeded, match=r"^grammar expansion needs more than 76850 letters,"
+    ):
         generate_u_words(2, 4, cap=7685)
 
 

@@ -285,6 +285,18 @@ def test_cap_env_override(monkeypatch):
     assert brute_enumerate_u(1, 1) == ["abbab"]
 
 
+def test_negative_cap_rejected(monkeypatch):
+    # a negative cap used to reach the searches and fail as "cap -1" exceeded
+    with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
+        words.brute_cap(-1)
+    with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
+        brute_enumerate_u(1, 1, cap=-1)
+    monkeypatch.setenv(words.BRUTE_CAP_ENV, "-1")
+    with pytest.raises(ValueError, match=r"^DYCK_BRUTE_CAP must be >= 0, got -1$"):
+        words.brute_cap()
+    assert words.brute_cap(0) == 0
+
+
 # The invariant behind each of these ids is written once, in selfcheck.CHECKS:
 # the id runs that check itself, at the "full" level of conftest's fixture.
 test_lattice_reading_agrees_with_membership = selfcheck.check_lattice_reading
