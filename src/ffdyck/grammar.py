@@ -11,22 +11,33 @@ L_1 .. L_{2m+1} is
 an unambiguous context-free grammar.  L_i holds the factor-free words of
 total valuation i whose nonempty prefixes all have valuation above i.  Every
 L_1 word factors as a * u * b^m with u in U, which is how U-words are
-produced here: expand L_1 and strip the frame.
+produced here, without building a single L_1 word of the top length: the
+top rule L_1 = L_2 L_1 b + L_3 b is applied to factors whose share of the
+frame is already cut, the leading a of each L_2 and L_3 factor and the
+trailing b^(m-1) of each L_1 and L_3 factor (with the rule's own b, that is
+the b^m).  The frame is checked there, once per factor: a factor that lacks
+its part raises AssertionError naming it.  For a nonempty block that is the
+same as checking that every framed word has the a..b^m frame.
 
 Expansion is length-indexed and memoized per call.  A word of L_i and length
 l has valuation i = (2m+3)#a - 2l, so L_i is empty unless i + 2l is a
-multiple of 2m+3: the expander returns at once at every other length, and it
-steps the split point of L_{i+1} L_1 b by 2m+3 from the one residue where
-L_{i+1} can be nonempty.  Each product L_{i+1} x L_1 x {b} is joined in one
-C-level pass, `map("".join, product(...))`, and U-words are sorted once,
-after the frame is stripped.  Duplicate derivations are NOT collapsed: every
-derivation still yields its own word and no set union is taken, so an
-ambiguity bug would surface as a count mismatch in the tests rather than
-being silently hidden.
+multiple of 2m+3: the expander returns at once at every other length, and
+`_Expander.splits` steps the split point of L_{i+1} L_1 b by 2m+3 from the
+one residue where L_{i+1} can be nonempty, charging each nonempty block
+before it is built.  Each product is joined in one C-level pass,
+`map("".join, product(...))`.  Memo entries are sorted: factors of one
+length that are sorted give a sorted product, so an entry is one sorted run
+per block and its one sort merges them, and cutting a frame shared by every
+factor keeps the order.  U-words are therefore one sort (a merge of about n
+runs) away from sorted, and D-words and `expand_l_words` need no sort at
+all.  Duplicate derivations are NOT collapsed: every derivation still yields
+its own word and no set union is taken, so an ambiguity bug would surface as
+a count mismatch in the tests rather than being silently hidden.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import combinations, product, repeat
 from math import comb
 from operator import itemgetter
@@ -71,8 +82,8 @@ class _Expander:
             )
 
     def l_words(self, i: int, length: int) -> tuple[str, ...]:
-        per = self.per
-        if length < 1 or (i + 2 * length) % per:
+        """The words of L_i of this length, sorted; memoized."""
+        if length < 1 or (i + 2 * length) % self.per:
             return ()
         key = (i, length)
         cached = self.memo.get(key)
@@ -88,22 +99,62 @@ class _Expander:
             words = tuple(["a" + w + "b" for w in inner])
         else:
             acc: list[str] = []
-            # L_{i+1} needs i+1 + 2 left_len = 0 (mod per); since 2(m+2) = 1
-            # (mod per), that is left_len = -(i+1)(m+2)
-            start = -(i + 1) * (m + 2) % per or per
-            for left_len in range(start, length - 1, per):
-                left = self.l_words(i + 1, left_len)
-                if not left:
-                    continue
-                right = self.l_words(1, length - 1 - left_len)
-                self.charge(len(left) * len(right), length)
+            for left, right in self.splits(i, length):
                 acc += map("".join, product(left, right, ("b",)))
             shorter = self.l_words(i + 2, length - 1)
             self.charge(len(shorter), length)
             acc += [u + "b" for u in shorter]
+            # one sorted run per block: the sort merges them
+            acc.sort()
             words = tuple(acc)
         self.memo[key] = words
         return words
+
+    def splits(
+        self, i: int, length: int
+    ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+        """The nonempty blocks (L_{i+1}, L_1) of L_{i+1} L_1 b at this length.
+
+        Each block is charged as the words it makes, of `length` letters,
+        before it is yielded.
+        """
+        per = self.per
+        # L_{i+1} needs i+1 + 2 left_len = 0 (mod per); since 2(m+2) = 1
+        # (mod per), that is left_len = -(i+1)(m+2)
+        start = -(i + 1) * (self.m + 2) % per or per
+        for left_len in range(start, length - 1, per):
+            left = self.l_words(i + 1, left_len)
+            if not left:
+                continue
+            right = self.l_words(1, length - 1 - left_len)
+            if right:
+                self.charge(len(left) * len(right), length)
+                yield left, right
+
+
+def _cut_frame(
+    factors: tuple[str, ...], i: int, m: int, lead: int, tail: int
+) -> list[str] | tuple[str, ...]:
+    """Same-length L_i factors with their first `lead` and last `tail` letters cut.
+
+    Those letters are the a (lead = 1) and the b's of the a..b^m frame; a
+    factor that lacks them raises AssertionError naming it.  Every factor
+    keeps its place in the sorted order.
+    """
+    if lead and not all(map(str.startswith, factors, repeat("a"))):
+        bad = next(f for f in factors if not f.startswith("a"))
+        raise AssertionError(
+            f"L_{i} factor lacks the leading a of the a..b^{m} frame: {bad}"
+        )
+    suffix = "b" * tail
+    if tail and not all(map(str.endswith, factors, repeat(suffix))):
+        bad = next(f for f in factors if not f.endswith(suffix))
+        raise AssertionError(
+            f"L_{i} factor lacks the b^{tail} tail of the a..b^{m} frame: {bad}"
+        )
+    if not (lead or tail):
+        return factors
+    return list(map(itemgetter(slice(lead, -tail or None)), factors))
 
 
 def expand_l_words(m: int, i: int, length: int, cap: int | None = None) -> list[str]:
@@ -111,26 +162,32 @@ def expand_l_words(m: int, i: int, length: int, cap: int | None = None) -> list[
     check_args(m, length)
     if not 1 <= i <= 2 * m + 1:
         raise ValueError(f"index i must lie in 1..{2 * m + 1}, got {i}")
-    return sorted(_Expander(m, brute_cap(cap)).l_words(i, length))
+    return list(_Expander(m, brute_cap(cap)).l_words(i, length))
 
 
 def generate_u_words(m: int, n: int, cap: int | None = None) -> list[str]:
-    """All U-words of length (2m+3)n, from L_1 words with the a/b^m frame stripped."""
+    """All U-words of length (2m+3)n, sorted.
+
+    They are the L_1 words of length (2m+3)n + m + 1 without their a..b^m
+    frame, built by the top rule L_1 = L_2 L_1 b + L_3 b from factors whose
+    share of the frame is already cut.
+    """
     check_args(m, n)
     if n == 0:
         return [""]
     expander = _Expander(m, brute_cap(cap))
-    framed = expander.l_words(1, period(m) * n + m + 1)
-    del expander  # frees every memo entry but the framed words
-    tail = "b" * m
-    if not (
-        all(map(str.startswith, framed, repeat("a")))
-        and all(map(str.endswith, framed, repeat(tail)))
-    ):
-        bad = next(w for w in framed if not (w.startswith("a") and w.endswith(tail)))
-        raise AssertionError(f"L_1 word lacks the a..b^{m} frame: {bad}")
-    words = list(map(itemgetter(slice(1, -m)), framed))
-    del framed
+    length = period(m) * n + m + 1
+    words: list[str] = []
+    for left, right in expander.splits(1, length):
+        left = _cut_frame(left, 2, m, 1, 0)
+        right = _cut_frame(right, 1, m, 0, m - 1)
+        words += map("".join, product(left, right))
+    shorter = expander.l_words(3, length - 1)
+    expander.charge(len(shorter), length)
+    del expander  # frees every memo entry but the last factors
+    if shorter:
+        words += _cut_frame(shorter, 3, m, 1, m - 1)
+    del shorter
     words.sort()
     return words
 
@@ -143,7 +200,7 @@ def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
     check_args(m, n)
     if n == 0:
         return []
-    return sorted(_Expander(m, brute_cap(cap)).l_words(0, period(m) * n))
+    return list(_Expander(m, brute_cap(cap)).l_words(0, period(m) * n))
 
 
 def primitive_u_words(m: int, j: int, cap: int | None = None) -> list[str]:

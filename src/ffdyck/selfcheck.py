@@ -360,19 +360,57 @@ CHECKS: list[tuple[str, Callable[[str], None]]] = [
 ]
 
 
-def run(level: str = "quick", emit: Callable[[str], None] = print) -> bool:
-    """Run every check at the given level; report one line per check."""
+def run(
+    level: str = "quick", emit: Callable[[str], None] = print, fmt: str = "text"
+) -> bool:
+    """Run every check at the given level; report one line per check.
+
+    The text lines read "PASS name (1.23s)" or "FAIL name: message", then a
+    summary line.  With fmt "json" each line is a JSON object instead: one
+    {"check", "status", "seconds", "message"} record per check (status "pass"
+    or "fail", message "" on a pass), then one {"level", "status", "checks",
+    "failed", "seconds"} summary of the run.
+    """
     if level not in ("quick", "full"):
         raise ValueError(f"unknown selfcheck level {level!r}")
-    all_ok = True
+    if fmt not in ("text", "json"):
+        raise ValueError(f"unknown selfcheck format {fmt!r}")
+    if fmt == "json":
+        import json
+    failed = 0
+    total = 0.0
     for name, fn in CHECKS:
         start = time.perf_counter()
         try:
             fn(level)
         except AssertionError as exc:
-            all_ok = False
-            emit(f"FAIL {name}: {exc}")
+            message = str(exc)
         else:
-            emit(f"PASS {name} ({time.perf_counter() - start:.2f}s)")
-    emit(f"selfcheck {level}: {'all checks passed' if all_ok else 'FAILURES detected'}")
-    return all_ok
+            message = None
+        seconds = time.perf_counter() - start
+        total += seconds
+        failed += message is not None
+        if fmt == "json":
+            record = {
+                "check": name,
+                "status": "pass" if message is None else "fail",
+                "seconds": round(seconds, 6),
+                "message": message or "",
+            }
+            emit(json.dumps(record))
+        elif message is None:
+            emit(f"PASS {name} ({seconds:.2f}s)")
+        else:
+            emit(f"FAIL {name}: {message}")
+    if fmt == "json":
+        summary = {
+            "level": level,
+            "status": "fail" if failed else "pass",
+            "checks": len(CHECKS),
+            "failed": failed,
+            "seconds": round(total, 6),
+        }
+        emit(json.dumps(summary))
+    else:
+        emit(f"selfcheck {level}: {'FAILURES detected' if failed else 'all checks passed'}")
+    return not failed

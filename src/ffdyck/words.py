@@ -95,14 +95,25 @@ def period(m: int) -> int:
     return 2 * m + 3
 
 
+_TO_BINARY = str.maketrans("ab", "01")
+_FROM_BINARY = str.maketrans("01", "ab")
+
+
 def to_binary(word: str) -> str:
     """Render an ab-word in the binary alphabet (a -> 0, b -> 1)."""
-    return word.translate(str.maketrans("ab", "01"))
+    check_word(word)
+    return word.translate(_TO_BINARY)
 
 
 def from_binary(word: str) -> str:
-    """Read a binary word (0 -> a, 1 -> b) into the ab alphabet."""
-    return word.translate(str.maketrans("01", "ab"))
+    """Read a binary word (0 -> a, 1 -> b) into the ab alphabet.
+
+    Any letter outside {0, 1} raises ValueError.
+    """
+    if word.encode("ascii", "replace").translate(None, b"01"):
+        stray = "".join(sorted(set(word) - {"0", "1"}))
+        raise ValueError(f"word contains letters outside the '01' alphabet: {stray!r}")
+    return word.translate(_FROM_BINARY)
 
 
 def valuation(word: str, m: int) -> int:

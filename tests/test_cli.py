@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ffdyck
+from ffdyck import counting, selfcheck
 from ffdyck.cli import main
 
 
@@ -197,6 +198,31 @@ def test_selfcheck_quick(capsys):
     lines = out.splitlines()
     assert all(line.startswith(("PASS", "selfcheck")) for line in lines)
     assert "all checks passed" in lines[-1]
+
+
+def test_selfcheck_json(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "selfcheck", "--level", "quick", "--format", "json")
+    assert code == 0
+    *checks, summary = [json.loads(line) for line in out.splitlines()]
+    assert [r["check"] for r in checks] == [name for name, _ in selfcheck.CHECKS]
+    assert all(r["status"] == "pass" and r["message"] == "" for r in checks)
+    assert all(r["seconds"] >= 0 for r in checks)
+    assert summary == {
+        "level": "quick",
+        "status": "pass",
+        "checks": len(checks),
+        "failed": 0,
+        "seconds": summary["seconds"],
+    }
+    # a failing check is named with its message, and the exit code is 1
+    real = counting.count_u
+    monkeypatch.setattr(counting, "count_u", lambda m, n: real(m, n) + ((m, n) == (2, 1)))
+    code, out, _ = run_cli(capsys, "selfcheck", "--level", "quick", "--format", "json")
+    records = [json.loads(line) for line in out.splitlines()]
+    failed = [r for r in records[:-1] if r["status"] == "fail"]
+    assert code == 1 and failed and records[-1]["failed"] == len(failed)
+    assert any("count_u vs brute m=2 n=1" in r["message"] for r in failed)
+    assert records[-1]["status"] == "fail"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Grammar expansion: derivation-driven generation and primitive words."""
 
+import hashlib
 import itertools
 from math import comb
 from pathlib import Path
@@ -81,11 +82,26 @@ def test_generate_u_examples():
     assert "abbbabbbabbbab" in length14
 
 
-@pytest.mark.parametrize("framed", ["abbbabbbab", "babbbabbbb"])
-def test_frame_guard_fires(monkeypatch, framed):
-    # an L_1 word without the a..b^m frame is never stripped into a U-word
-    monkeypatch.setattr(grammar._Expander, "l_words", lambda self, i, length: (framed,))
-    with pytest.raises(AssertionError, match="lacks the a..b\\^2 frame"):
+@pytest.mark.parametrize(
+    "left, right, error",
+    [
+        # each id is the framed word the block would have made
+        pytest.param(
+            "abbb", "abbba", r"L_1 factor lacks the b\^1 tail of the a..b\^2 frame: abbba$",
+            id="abbbabbbab",
+        ),
+        pytest.param(
+            "babbb", "abbb", r"L_2 factor lacks the leading a of the a..b\^2 frame: babbb$",
+            id="babbbabbbb",
+        ),
+    ],
+)
+def test_frame_guard_fires(monkeypatch, left, right, error):
+    # the frame is checked on the factors of L_1 = L_2 L_1 b before any
+    # U-word is built from them
+    block = ((left,), (right,))
+    monkeypatch.setattr(grammar._Expander, "splits", lambda self, i, length: iter([block]))
+    with pytest.raises(AssertionError, match=error):
         generate_u_words(2, 1)
 
 
@@ -158,6 +174,46 @@ def test_cap_applies_to_grammar():
         CapExceeded, match=r"^grammar expansion needs more than 76850 letters,"
     ):
         generate_u_words(2, 4, cap=7685)
+
+
+@pytest.mark.parametrize(
+    "gen, count, m, n, cap",
+    [
+        pytest.param(generate_d_words, count_d, 2, 4, 4385, id="D-2-4"),
+        pytest.param(generate_u_words, count_u, 1, 8, 10463, id="U-1-8"),
+        pytest.param(generate_u_words, count_u, 3, 3, 8004, id="U-3-3"),
+    ],
+)
+def test_cap_threshold(gen, count, m, n, cap):
+    # the lowest cap each list fits in: every charge of the expansion adds up
+    # to it, and the letter budget binds first at all three sizes
+    assert len(gen(m, n, cap=cap)) == count(m, n)
+    with pytest.raises(CapExceeded, match=f"more than {10 * (cap - 1)} letters,"):
+        gen(m, n, cap=cap - 1)
+
+
+def test_output_digests_past_the_brute_sizes():
+    # sha256 of the newline-joined lists, at sizes the brute force cannot reach
+    want = {
+        (1, 8): (
+            "8be0c12dc2f870e1c6f763f31125f5c94fc8cf70709f135069276789ac08a0f2",
+            "07733ea11222157a254cffba6ac1e306742a2d86430ca7ec77e10840d269b68a",
+        ),
+        (2, 5): (
+            "ae4e25bec277b9bae35aa715a67bd125df701eae0b0743a37113932eed552d95",
+            "9d4a990fa6210446f5ec2f6178ad37bd1b12dec6b7180250d43f42721f207d4f",
+        ),
+        (3, 3): (
+            "34474f57d5cedd90337ee82d71199eead4ba560ea88da07b7dde9557ded1f947",
+            "9a2fdc92d1774beebb7c35c41f3f274d597a0fe6c9e791f998d148aa7d6ede97",
+        ),
+    }
+    for (m, n), digests in want.items():
+        got = tuple(
+            hashlib.sha256("\n".join(gen(m, n)).encode()).hexdigest()
+            for gen in (generate_u_words, generate_d_words)
+        )
+        assert got == digests, (m, n)
 
 
 def test_default_cap_covers_slope_5_2_at_size_6(monkeypatch):

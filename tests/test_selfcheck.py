@@ -43,3 +43,5 @@ def test_skewed_count_is_caught_and_named(monkeypatch):
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         selfcheck.run("medium")
+    with pytest.raises(ValueError, match="unknown selfcheck format 'xml'"):
+        selfcheck.run("quick", fmt="xml")

@@ -166,6 +166,16 @@ def test_binary_rendering():
     assert from_binary(to_binary("abbab")) == "abbab"
 
 
+def test_binary_rendering_checks_its_alphabet():
+    with pytest.raises(ValueError, match="got letter 'c'"):
+        to_binary("abc")
+    with pytest.raises(ValueError, match="outside the '01' alphabet: '2'$"):
+        from_binary("012")
+    with pytest.raises(ValueError, match="outside the '01' alphabet: 'ab'$"):
+        from_binary("b0a1b")
+    assert to_binary("") == from_binary("") == ""
+
+
 def test_brute_enumerate_u_examples():
     assert brute_enumerate_u(1, 1) == ["abbab"]
     assert brute_enumerate_u(1, 2) == ["aabbabbbab", "abbaabbabb"]
