@@ -4,12 +4,16 @@ Subcommands: count, generate, verify, tree, codes, selfcheck.  Output is
 deterministic for identical invocations and all word lists are sorted.
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid arguments or a
 non-integer or negative DYCK_BRUTE_CAP, 3 brute force cap exceeded (cap
-configurable via the DYCK_BRUTE_CAP variable).  Values are checked by the
-library's input contract, not here: main turns its ValueError into exit 2
-and one "error:" line on stderr.  That covers tree input too: a word outside
-U for --encode, and for --decode JSON that does not parse or a tree that
-breaks the outdegree and color rules, and a word with a letter outside 01 for
+configurable via the DYCK_BRUTE_CAP variable), 141 stdout closed before all
+output was written (`| head`), with nothing on stderr, the status a shell
+gives a process ended by SIGPIPE.  Values are checked by the library's input
+contract, not here: main turns its ValueError into exit 2 and one "error:"
+line on stderr.  That covers tree input too: a word outside U for --encode,
+and for --decode JSON that does not parse or a tree that breaks the
+outdegree and color rules, and a word with a letter outside 01 for
 --alphabet 01.  The CLI's own rule, --n-max >= 1, raises the same way.
+
+Word lists in text format are written to stdout in one call.
 
 Each subcommand imports the library modules (and json) it runs, so a child
 process loads only those: `count` never loads the grammar, the trees or the
@@ -20,6 +24,7 @@ module, at any depth.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import words
@@ -130,8 +135,7 @@ def _cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
         print(json.dumps(out))
     else:
-        for w in out:
-            print(w)
+        sys.stdout.write("".join(w + "\n" for w in out))
     return 0
 
 
@@ -173,8 +177,7 @@ def _cmd_codes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
         print(json.dumps(code.to_json_obj()))
     else:
-        for w in code.words:
-            print(w)
+        sys.stdout.write("".join(w + "\n" for w in code.words))
     if args.verify:
         ok, violation = codes.verify_cross_bifix_free(list(code.words))
         if not ok:
@@ -195,7 +198,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         words.brute_cap()
-        return args.func(parser, args)
+        status = args.func(parser, args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): send what is still buffered
+        # to devnull so the flush at exit cannot fail, and exit as SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (ValueError, words.MalformedTraversal) as exc:
         # the library's input contract (bad tree JSON and non-U words
         # included), the CLI's own value rules, and a tree parser bug

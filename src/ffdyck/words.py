@@ -23,9 +23,10 @@ exactly 2n letters a and (2m+1)n letters b at length (2m+3)n.
 Membership rests on one linear scan (`_run_scan`) that finds a Dyck factor
 as a tie between prefix levels, reading the word one b-run at a time: only
 a descent can tie, so the scan loops #a + 1 times, not once per letter.  The
-brute-force search keeps a per-letter step (`_dyck_factor_start`) on a
-persistent stack instead, because it extends and backtracks one letter at a
-time.
+brute-force search keeps the same two lists of visible levels, one frame per
+letter a: a frame branches on the length of the b-run before its next a,
+bounds that length in O(1), and places the last a inline, so the all-b tail
+needs no frame of its own.
 
 Words are plain Python strings over the alphabet "ab"; an alternate binary
 rendering maps a <-> 0, b <-> 1.  All word lists are sorted with a < b.
@@ -34,7 +35,7 @@ rendering maps a <-> 0, b <-> 1.  All word lists are sorted with a < b.
 from __future__ import annotations
 
 import os
-from bisect import bisect
+from bisect import bisect, bisect_left
 
 
 DEFAULT_BRUTE_CAP = 10**7
@@ -147,25 +148,6 @@ def is_dyck(word: str, m: int) -> bool:
         if h < 0:
             return False
     return h == 0
-
-
-def _dyck_factor_start(stack: tuple | None, h: int, j: int) -> tuple[tuple, int | None]:
-    """Add prefix level h at index j to a stack of visible levels.
-
-    The stack is an immutable linked tuple (level, index, parent) or None.
-    Returns the new stack and the start i of the Dyck factor word[i:j], or
-    None when no factor ends at j; on a tie the stack is returned unchanged.
-
-    Only the brute search uses this one-letter step: each of its nodes keeps
-    its own persistent stack, so it backtracks without undo.  A scan of a
-    whole word needs no persistence and reads it one b-run at a time
-    (`_run_scan`).
-    """
-    while stack is not None and stack[0] > h:
-        stack = stack[2]
-    if stack is not None and stack[0] == h:
-        return stack, stack[1]
-    return (h, j, stack), None
 
 
 def _run_scan(word: str, rise: int) -> tuple[list[int], list[int]] | None:
@@ -351,32 +333,39 @@ def _check_cap(length: int, n_a: int, cap: int | None) -> None:
 
 
 def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[str]:
-    """Depth-first search over {a,b} words of length (2m+3)n.
+    """Depth-first search over {a,b} words of length (2m+3)n, one frame per a.
 
-    Prunes prefixes that leave the admissible valuation band (>= 0 in Dyck
-    mode, > -2m in U mode) or that already contain a nonempty Dyck factor
-    ending at the current position; such a factor is proper in any completed
-    word extending the prefix.  Each node carries its own persistent stack of
-    visible levels, so backtracking needs no undo; that is why the search
-    steps `_dyck_factor_start` letter by letter instead of running the
-    one-pass `_run_scan`.  Two more prunes read that
-    stack; neither cuts a prefix that some member extends:
+    A frame stands at the top level after an a (or at the start) and holds
+    `_run_scan`'s visible levels below it, split into increasing lists:
+    `same` of the top's parity and `other` of the other parity.  It branches
+    on the length r of the b-run that follows, then on the next a, so the
+    search makes one frame per a, not one per letter.  Three bounds cut the
+    run; none cuts a prefix that some member extends:
 
-    - All-b tail.  Once no a is left, the rest is b^rem_b from the top level
-      2*rem_b, and it lands on every even level below the top: down to 2 in
-      D (the step onto 0 closes the whole word) and down to -2m in U (the
-      frame's b^m continues the descent).  A visible level there that is
-      even is a tie.  In U the start level 0 stays visible until some prefix
-      dips below 0, so the same test demands that dip.
+    - The run stays in the band (>= 0 in Dyck mode, > -2m in U mode) and
+      closes no Dyck factor: it descends through every level of the top's
+      parity, so it first ties the top of `same`.  Both bounds, and the b's
+      left, cap r in O(1).  The run hides the levels of `other` above it
+      and tops `same` with the level it lands on, as in `_run_scan`.
     - Buried pair.  A descent moves down by 2, so a path that falls below
       adjacent visible levels v, v+1 first lands on one of them, a tie.
       Every word falls below both before it ends (to 0 in D, to -2m with the
-      frame in U), so the a step that buries such a pair under the new top
-      is dead; only a steps bury levels.  D spares the pair (0, 1): only its
-      closing step passes it, and that tie is the whole word.
+      frame in U), so the a that buries such a pair under the new top is
+      dead: the run may not end just above a kept level of `other`.  D
+      spares the pair (0, 1): only its closing step passes it, and that tie
+      is the whole word.
+    - All-b tail.  The last a is placed inline.  The rest is b^rem_b from
+      the even top 2*rem_b, and it lands on every even level below the top:
+      down to 2 in D (the step onto 0 closes the whole word) and down to -2m
+      in U (the frame's b^m continues the descent).  A visible even level
+      there is a tie, and the even levels are the ones `other` keeps, so the
+      last run must hide the lowest level of `other` at or above that floor:
+      one `bisect_left` bounds r from below.  In U the start level 0 stays
+      visible until some prefix dips below 0, so the same bound demands that
+      dip.
 
-    Every surviving candidate is re-checked with the full membership
-    predicate before being emitted.
+    The recursion is at most 2n deep.  Every surviving candidate is
+    re-checked with the full membership predicate before being emitted.
     """
     check_args(m, n)
     if n == 0:
@@ -390,34 +379,36 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
     accept = is_in_d if dyck_mode else is_in_u
 
     out: list[str] = []
-    letters: list[str] = []
+    b_runs = ["b" * k for k in range(n_b + 1)]
 
-    def walk(stack: tuple, rem_a: int, rem_b: int) -> None:
-        if rem_a == 0:
-            # the all-b tail: no visible even level between the floor and the top
-            node = stack[2]
-            while node is not None and node[0] >= tail_floor:
-                if node[0] % 2 == 0:
-                    return
-                node = node[2]
-            word = "".join(letters) + "b" * rem_b
-            if accept(word, m):
-                out.append(word)
-            return
-        top, _, below = stack
-        # an a step buries the pair (top - 1, top) if both are visible
-        if below is None or below[0] != top - 1 or (dyck_mode and top == 1):
-            letters.append("a")
-            walk(_dyck_factor_start(stack, top + rise, len(letters))[0], rem_a - 1, rem_b)
-            letters.pop()
-        if rem_b and top - 2 >= floor:
-            letters.append("b")
-            after, start = _dyck_factor_start(stack, top - 2, len(letters))
-            if start is None:
-                walk(after, rem_a, rem_b - 1)
-            letters.pop()
+    def walk(
+        prefix: str, top: int, same: list[int], other: list[int], rem_a: int, rem_b: int
+    ) -> None:
+        # the longest run: b's left, the floor, and the first tie
+        r_max = rem_b if top - 2 * rem_b >= floor else (top - floor) // 2
+        if same and top - 2 * r_max <= same[-1]:
+            r_max = (top - same[-1]) // 2 - 1
+        r_min = 0
+        if rem_a == 1:
+            # the last run hides every even level the all-b tail would tie
+            i = bisect_left(other, tail_floor)
+            if i < len(other):
+                r_min = (top - other[i] + 1) // 2
+        for r in range(r_min, r_max + 1):
+            low = top - 2 * r
+            j = bisect(other, low)
+            # buried pair (low - 1, low)
+            if j and other[j - 1] == low - 1 and not (dyck_mode and low == 1):
+                continue
+            if rem_a == 1:
+                word = prefix + b_runs[r] + "a" + b_runs[rem_b - r]
+                if accept(word, m):
+                    out.append(word)
+            else:
+                kept = other[:j]
+                walk(prefix + b_runs[r] + "a", low + rise, kept, same + [low], rem_a - 1, rem_b - r)
 
-    walk((0, 0, None), n_a, n_b)
+    walk("", 0, [], [], n_a, n_b)
     return sorted(out)
 
 

@@ -57,7 +57,14 @@ def test_generate_binary_alphabet(capsys):
         capsys, "generate", "--m", "1", "--n", "1", "--language", "D", "--alphabet", "01"
     )
     assert code == 0
-    assert out.splitlines() == ["00111", "01011"]
+    assert out == "00111\n01011\n"
+
+
+@pytest.mark.parametrize("language, want", [("D", ""), ("U", "\n")])
+def test_generate_size_zero(capsys, language, want):
+    # D has no word of size 0 and prints nothing; U has the empty word
+    code, out, _ = run_cli(capsys, "generate", "--m", "2", "--n", "0", "--language", language)
+    assert code == 0 and out == want
 
 
 def test_generate_u_default_alphabet(capsys):
@@ -156,7 +163,7 @@ def test_deep_tree_cli_round_trip(capsys):
 def test_codes_text_output(capsys):
     code, out, _ = run_cli(capsys, "codes", "--m", "1", "--n-max", "1")
     assert code == 0
-    assert out.splitlines() == ["00111", "01011"]
+    assert out == "00111\n01011\n"
 
 
 def test_codes_json_output_and_verify(capsys):
@@ -301,3 +308,36 @@ def test_grammar_letter_budget_stops_a_huge_generate():
     )
     assert done.returncode == 3 and done.stdout == ""
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        pytest.param("generate --m 2 --n 5 --language U", 1, id="generate-head-1"),
+        pytest.param("selfcheck --format json", 0, id="selfcheck-closed"),
+    ],
+)
+def test_closed_stdout_exits_141_quietly(argv, lines_read):
+    # `| head -1`: the reader closes the pipe after one line.  The generate
+    # output (489 kB) outruns the pipe, so its later writes meet the closed
+    # end; selfcheck's is small, so the pipe is closed before it writes.
+    # Default buffering, as in a shell: unbuffered stdout drops the tail of a
+    # partial write without an error.
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("DYCK_BRUTE_CAP", "PYTHONUNBUFFERED")
+    }
+    env["PYTHONPATH"] = str(Path(ffdyck.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ffdyck", *argv.split()],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=30) == 141
+    assert err == b""

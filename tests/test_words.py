@@ -31,11 +31,25 @@ def all_words(max_len: int):
             yield "".join(tup)
 
 
+def dyck_factor_start(stack, h, j):
+    """Add prefix level h at index j to a linked stack (level, index, parent).
+
+    Returns the new stack and the start i of the Dyck factor word[i:j], or
+    None when no factor ends at j; on a tie the stack is returned unchanged.
+    """
+    while stack is not None and stack[0] > h:
+        stack = stack[2]
+    if stack is not None and stack[0] == h:
+        return stack, stack[1]
+    return (h, j, stack), None
+
+
 def replay_factor_free(word, m):
-    # reference: the brute search's per-letter step over the whole profile
+    # reference: one letter at a time over the whole profile, independent of
+    # the run-at-a-time `_run_scan`
     stack = None
     for j, h in enumerate(prefix_profile(word, m)):
-        stack, start = words._dyck_factor_start(stack, h, j)
+        stack, start = dyck_factor_start(stack, h, j)
         if start is not None and (start, j) != (0, len(word)):
             return False
     return True
@@ -207,9 +221,10 @@ def test_brute_enumerators_match_naive_filter():
         assert brute_enumerate_d(m, n) == sorted(naive_d), (m, n)
 
 
-@pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (1, 5), (4, 2)])
 def test_brute_search_rechecks_only_members(monkeypatch, m, n):
     # the prunes are exact: every candidate the search re-checks is a member
+    # ((1, 5) and (4, 2) add the narrowest and the widest U band, m = 1 and 4)
     rechecked = []
     for name in ("is_in_u", "is_in_d"):
 
@@ -220,6 +235,14 @@ def test_brute_search_rechecks_only_members(monkeypatch, m, n):
         monkeypatch.setattr(words, name, spy)
     found = brute_enumerate_u(m, n) + brute_enumerate_d(m, n)
     assert len(rechecked) == len(found)
+
+
+@pytest.mark.parametrize("m, n", [(1, 7), (4, 3)])
+def test_brute_search_equals_grammar_past_the_filter(m, n):
+    # sizes past the naive filter above and past the selfcheck's brute ranges;
+    # C(35, 14) candidates at (1, 7) is past the default cap, not the search
+    assert brute_enumerate_u(m, n, cap=10**10) == generate_u_words(m, n)
+    assert brute_enumerate_d(m, n, cap=10**10) == generate_d_words(m, n)
 
 
 def test_trivial_enumerations():
