@@ -6,19 +6,21 @@ Exit codes: 0 success, 1 selfcheck failure, 2 invalid arguments or a
 non-integer or negative DYCK_BRUTE_CAP, 3 brute force cap exceeded (cap
 configurable via the DYCK_BRUTE_CAP variable), 141 stdout closed before all
 output was written (`| head`), with nothing on stderr, the status a shell
-gives a process ended by SIGPIPE.  Values are checked by the library's input
-contract, not here: main turns its ValueError into exit 2 and one "error:"
-line on stderr.  That covers tree input too: a word outside U for --encode,
-and for --decode JSON that does not parse or a tree that breaks the
-outdegree and color rules, and a word with a letter outside 01 for
---alphabet 01.  The CLI's own rule, --n-max >= 1, raises the same way.
+gives a process ended by SIGPIPE, under PYTHONUNBUFFERED too.  Values are
+checked by the library's input contract, not here: main turns its ValueError
+into exit 2 and one "error:" line on stderr.  That covers tree input too: a
+word outside U for --encode, and for --decode JSON that does not parse or a
+tree that breaks the outdegree and color rules, and a word with a letter
+outside 01 for --alphabet 01.  The CLI's own rule, --n-max >= 1, raises the
+same way.
 
-Word lists in text format are written to stdout in one call.
+Output goes to stdout through `_write`, which loops until every byte is out;
+word lists in text format are written in one call.
 
 Each subcommand imports the library modules (and json) it runs, so a child
 process loads only those: `count` never loads the grammar, the trees or the
-selfcheck suite, and `tree` reads and writes its JSON without the json
-module, at any depth.
+selfcheck suite.  `tree` writes its JSON with an explicit stack and reads it
+with json.loads in pieces of bounded depth, so it takes a tree of any depth.
 """
 
 from __future__ import annotations
@@ -100,6 +102,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str) -> None:
+    """Write text to stdout, looping until every byte is out.
+
+    Under PYTHONUNBUFFERED the text layer writes through to the raw file,
+    whose write may take only part of the bytes when the reader closes the
+    pipe, and drops the rest without an error.  The loop meets the closed
+    pipe as a BrokenPipeError whatever the buffering.  A stdout with no
+    binary layer (io.StringIO, say) takes the text as it is.
+    """
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[out.write(data) :]
+
+
 def _read_word(word: str, alphabet: str) -> str:
     """The word in the ab alphabet; the library checks the letters itself."""
     return word if alphabet == "ab" else words.from_binary(word)
@@ -119,7 +140,7 @@ def _cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     }.get((args.language, args.method))
     if count is None:
         parser.error(f"--method {args.method} applies to --language U only")
-    print(count(args.m, args.n))
+    _write(f"{count(args.m, args.n)}\n")
     return 0
 
 
@@ -133,9 +154,9 @@ def _cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     if args.format == "json":
         import json
 
-        print(json.dumps(out))
+        _write(json.dumps(out) + "\n")
     else:
-        sys.stdout.write("".join(w + "\n" for w in out))
+        _write("".join(w + "\n" for w in out))
     return 0
 
 
@@ -152,7 +173,7 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         "in_U": words.is_in_u(word, args.m),
         "in_D": words.is_in_d(word, args.m),
     }
-    print(json.dumps(report))
+    _write(json.dumps(report) + "\n")
     return 0
 
 
@@ -160,9 +181,9 @@ def _cmd_tree(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from . import trees
 
     if args.encode is not None:
-        print(trees.word_to_tree(args.encode).to_json_text())
+        _write(trees.word_to_tree(args.encode).to_json_text() + "\n")
     else:
-        print(trees.tree_to_word(trees.ColoredTree.from_json_text(args.decode)))
+        _write(trees.tree_to_word(trees.ColoredTree.from_json_text(args.decode)) + "\n")
     return 0
 
 
@@ -175,9 +196,9 @@ def _cmd_codes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.format == "json":
         import json
 
-        print(json.dumps(code.to_json_obj()))
+        _write(json.dumps(code.to_json_obj()) + "\n")
     else:
-        sys.stdout.write("".join(w + "\n" for w in code.words))
+        _write("".join(w + "\n" for w in code.words))
     if args.verify:
         ok, violation = codes.verify_cross_bifix_free(list(code.words))
         if not ok:
@@ -190,7 +211,8 @@ def _cmd_codes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 def _cmd_selfcheck(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from . import selfcheck
 
-    return 0 if selfcheck.run(args.level, fmt=args.format) else 1
+    ok = selfcheck.run(args.level, emit=lambda line: _write(line + "\n"), fmt=args.format)
+    return 0 if ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:

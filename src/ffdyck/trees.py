@@ -28,6 +28,9 @@ trips over every word and every tree with n <= 3 (selfcheck), over all of U
 at n = 4, deep chains of each node kind and seeded words with n = 100 to 300
 pin the reading down, and every other word of up to 14 letters must fail the
 replay.
+
+The JSON form is written by the same walk and read by `json.loads` in pieces
+of bounded depth (`_parse_json`), so it too works at any depth.
 """
 
 from __future__ import annotations
@@ -195,104 +198,66 @@ class ColoredTree:
 LEAF = ColoredTree()
 
 
-# One JSON token after optional whitespace: punctuation, a string with its
-# quotes, a scalar, or any other character but whitespace (always an error),
-# so the tokens cover the text up to trailing whitespace.
-_JSON_TOKEN = re.compile(
-    r"[ \t\n\r]*(?:([][{}:,])"
-    r'|("(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*")'
-    r"|(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|true|false|null|NaN|-?Infinity)"
-    r"|([^ \t\n\r]))"
+_CUT = 100  # json.loads reads containers at most this deep at a time
+
+# A run of text with no bracket outside its strings, an empty object, one
+# bracket, or a quote that opens no complete string (a stray quote).
+_JSON_BRACKETS = re.compile(
+    r'(?:[^][{}"]+|"(?:[^"\\]|\\.)*")+|(\{[ \t\n\r]*\}|[][{}])|(")', re.S
 )
-_JSON_ESCAPE = re.compile(r"\\(u[0-9a-fA-F]{4}|.)")
-_JSON_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
-_JSON_CONSTANTS = {"true": True, "false": False, "null": None}
-
-
-def _json_string(token: str) -> str:
-    body = token[1:-1]
-    if "\\" not in body:
-        return body
-    out = _JSON_ESCAPE.sub(
-        lambda e: chr(int(e[1][1:], 16)) if len(e[1]) == 5 else _JSON_ESCAPES[e[1]],
-        body,
-    )
-    # join \uXXXX surrogate pairs into one character, as json.loads does
-    return out.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
-
-
-def _json_scalar(token: str) -> Any:
-    if token in _JSON_CONSTANTS:
-        return _JSON_CONSTANTS[token]
-    if token[-1].isdigit() and not any(c in token for c in ".eE"):
-        return int(token)
-    return float(token)
 
 
 def _parse_json(text: str) -> Any:
     """The value of one JSON text, as `json.loads` reads it, at any depth.
 
-    Open arrays and objects wait on an explicit stack; each value is stored
-    into its container as soon as it starts.
+    The scan tracks the bracket depth only.  A container that opens at a
+    positive depth that is a multiple of _CUT is read by `json.loads` on its
+    own once it closes; in the text around it, it stands as {}, and so does
+    every empty object, which the hook could not tell from one.  An
+    object_hook gives each {} back its value, in the order they close, and
+    returns any other object as it is.  Each piece is
+    the text with whole values put in place of values, so every piece reads
+    exactly when the text does, and no call nests deeper than _CUT.
     """
-    holder: list[Any] = []
-    stack: list[Any] = [holder]  # open containers, innermost last
-    keys: list[Any] = [None]  # per open container, the key of its next value
-    state = "value"  # what the grammar allows next
-    for punct, string, scalar, other in _JSON_TOKEN.findall(text):
-        top = stack[-1]
-        if state == "after":
-            if len(stack) == 1:
-                break
-            if punct == ",":
-                state = "key" if type(top) is dict else "value"
-            elif punct == ("}" if type(top) is dict else "]"):
-                stack.pop()
-                keys.pop()
-            else:
-                break
-        elif state == ":":
-            if punct != ":":
-                break
-            state = "value"
-        elif state == "key" or state == "key or }":
-            if string:
-                keys[-1] = _json_string(string)
-                state = ":"
-            elif punct == "}" and state == "key or }":
-                stack.pop()
-                keys.pop()
-                state = "after"
-            else:
-                break
-        elif punct == "]" and state == "value or ]":
-            stack.pop()
-            keys.pop()
-            state = "after"
+    import json
+
+    parts: list[str] = []  # the text of the open piece, {} for each value cut
+    values: list[Any] = []  # the values of its {}, in order
+    stack: list[tuple[list[str], list[Any]]] = []  # the pieces around it
+    depth = 0
+
+    def read(piece: list[str], cut: list[Any]) -> Any:
+        later = iter(cut)
+        try:
+            return json.loads("".join(piece), object_hook=lambda o: o or next(later))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON: {exc.msg}") from None
+
+    for match in _JSON_BRACKETS.finditer(text):
+        bracket, stray = match.groups()
+        if stray:
+            raise ValueError("invalid JSON: unterminated string")
+        if not bracket:
+            parts.append(match[0])
+        elif len(bracket) > 1:  # an empty object
+            parts.append("{}")
+            values.append({})
+        elif bracket in "[{":
+            if depth > 0 and depth % _CUT == 0:
+                stack.append((parts, values))
+                parts, values = [], []
+            parts.append(bracket)
+            depth += 1
         else:
-            if punct == "{" or punct == "[":
-                value: Any = {} if punct == "{" else []
-            elif string:
-                value = _json_string(string)
-            elif scalar:
-                value = _json_scalar(scalar)
-            else:
-                break
-            if type(top) is dict:
-                top[keys[-1]] = value
-            else:
-                top.append(value)
-            if punct:
-                stack.append(value)
-                keys.append(None)
-                state = "key or }" if punct == "{" else "value or ]"
-            else:
-                state = "after"
-    else:
-        if state == "after" and len(stack) == 1:
-            return holder[0]
-        raise ValueError("invalid JSON: the text ends early")
-    raise ValueError(f"invalid JSON: unexpected {punct or string or scalar or other!r}")
+            parts.append(bracket)
+            depth -= 1
+            if depth > 0 and depth % _CUT == 0:
+                piece = read(parts, values)
+                parts, values = stack.pop()
+                parts.append("{}")
+                values.append(piece)
+    # a container still open at the end leaves its piece unclosed: read fails
+    return read(parts, values)
 
 
 def _render(

@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, determinism, exit codes."""
 
+import io
 import json
 import os
 import resource
@@ -65,6 +66,14 @@ def test_generate_size_zero(capsys, language, want):
     # D has no word of size 0 and prints nothing; U has the empty word
     code, out, _ = run_cli(capsys, "generate", "--m", "2", "--n", "0", "--language", language)
     assert code == 0 and out == want
+
+
+def test_text_only_stdout(monkeypatch):
+    # a stdout with no binary layer, as in redirect_stdout(io.StringIO())
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["generate", "--m", "2", "--n", "1", "--language", "U"]) == 0
+    assert out.getvalue() == "abbbabb\nabbbbab\nbabbbab\n"
 
 
 def test_generate_u_default_alphabet(capsys):
@@ -311,23 +320,28 @@ def test_grammar_letter_budget_stops_a_huge_generate():
 
 
 @pytest.mark.parametrize(
-    "argv, lines_read",
+    "argv, lines_read, unbuffered",
     [
-        pytest.param("generate --m 2 --n 5 --language U", 1, id="generate-head-1"),
-        pytest.param("selfcheck --format json", 0, id="selfcheck-closed"),
+        pytest.param("generate --m 2 --n 5 --language U", 1, "", id="generate-head-1"),
+        pytest.param(
+            "generate --m 2 --n 5 --language U", 1, "1", id="generate-head-1-unbuffered"
+        ),
+        pytest.param("selfcheck --format json", 0, "", id="selfcheck-closed"),
     ],
 )
-def test_closed_stdout_exits_141_quietly(argv, lines_read):
+def test_closed_stdout_exits_141_quietly(argv, lines_read, unbuffered):
     # `| head -1`: the reader closes the pipe after one line.  The generate
     # output (489 kB) outruns the pipe, so its later writes meet the closed
     # end; selfcheck's is small, so the pipe is closed before it writes.
-    # Default buffering, as in a shell: unbuffered stdout drops the tail of a
-    # partial write without an error.
+    # Unbuffered, the raw write that meets the close takes part of the bytes
+    # and returns, and the rest must not be dropped without an error.
     env = {
         k: v
         for k, v in os.environ.items()
         if k not in ("DYCK_BRUTE_CAP", "PYTHONUNBUFFERED")
     }
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     env["PYTHONPATH"] = str(Path(ffdyck.__file__).resolve().parent.parent)
     proc = subprocess.Popen(
         [sys.executable, "-m", "ffdyck", *argv.split()],

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from ffdyck import selfcheck
 from ffdyck.codes import build_code, verify_cross_bifix_free
 from ffdyck.words import from_binary
 
@@ -99,10 +98,3 @@ def test_verifier_matches_naive_triple_scan():
         assert verify_cross_bifix_free(ws) == want, ws
         verdicts.add(want[0])
     assert verdicts == {True, False}
-
-
-# The invariant behind each of these ids is written once, in selfcheck.CHECKS:
-# the id runs that check itself, at the "full" level of conftest's fixture.
-test_code_sizes_match_counts = selfcheck.check_cross_bifix_codes
-test_codes_are_cross_bifix_free = selfcheck.check_cross_bifix_codes
-test_split_valuation_argument = selfcheck.check_cross_bifix_codes

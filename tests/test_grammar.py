@@ -233,5 +233,4 @@ def test_generated_words_have_uniform_letter_counts():
 # The invariant behind each of these ids is written once, in selfcheck.CHECKS:
 # the id runs that check itself, at the "full" level of conftest's fixture.
 test_grammar_equals_brute_force = selfcheck.check_grammar_vs_brute
-test_generated_d_words_are_bifix_free = selfcheck.check_cross_bifix_codes
 test_primitive_counts_match_ascent_weights = selfcheck.check_primitive_blocks

@@ -4,6 +4,7 @@ import itertools
 import json
 import pickle
 import random
+import time
 
 import pytest
 
@@ -198,41 +199,85 @@ def test_tree_is_an_immutable_value():
     assert BLUE.color == "blue"
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"color": "blue", "children": [{}, {"children": []}]}',
-        ' {"children":[{},{}] ,"color":"red" }\n',
-        '{"color": "\\u0067reen", "children": [{}, {}], "note": [1, -2.5e3, null]}',
-        '{"color": "none", "color": "blue", "children": [{}, {}]}',
-        '{"color": "none", "children": [{}, {}, {}, {}]}',
-        "{}",
-    ],
-)
+GOOD_JSON = [
+    '{"color": "blue", "children": [{}, {"children": []}]}',
+    ' {"children":[{},{}] ,"color":"red" }\n',
+    '{"color": "\\u0067reen", "children": [{}, {}], "note": [1, -2.5e3, null]}',
+    '{"color": "none", "color": "blue", "children": [{}, {}]}',
+    '{"color": "none", "children": [{}, {}, {}, {}]}',
+    "{}",
+]
+BAD_JSON = [
+    "",
+    "nope",
+    "{",
+    '{"color": "blue", "children": [{}, {}],}',
+    '{"color": "blue" "children": []}',
+    '{"children": [{}, {}]} {}',
+    '{"color": "blue", "children": [{}, {},]}',
+    "{'color': 'none'}",
+    '{"color": "bl\tue"}',
+    '{"color": "purple"}',
+    '{"children": [{}]}',
+    "[]",
+]
+
+
+@pytest.mark.parametrize("text", GOOD_JSON)
 def test_json_text_reads_what_json_loads_reads(text):
     assert ColoredTree.from_json_text(text) == ColoredTree.from_json_obj(json.loads(text))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "nope",
-        "{",
-        '{"color": "blue", "children": [{}, {}],}',
-        '{"color": "blue" "children": []}',
-        '{"children": [{}, {}]} {}',
-        '{"color": "blue", "children": [{}, {},]}',
-        "{'color': 'none'}",
-        '{"color": "bl\tue"}',
-        '{"color": "purple"}',
-        '{"children": [{}]}',
-        "[]",
-    ],
-)
+@pytest.mark.parametrize("text", BAD_JSON)
 def test_json_text_rejects_bad_input(text):
     with pytest.raises(ValueError):
         ColoredTree.from_json_text(text)
+
+
+# Texts that are not trees, for the JSON reader alone: brackets and escaped
+# quotes inside strings, duplicate keys holding containers, the constants
+# json.loads accepts past the JSON grammar, and unbalanced or stray text.
+READER_JSON = [
+    '{"note": "]}[{\\"", "children": ["[", "}", "\\\\", "\\"]"]}',
+    '{"k": [1, {"a": [2]}], "k": {"b": [3, {}]}, "k2": { }}',
+    '[NaN, -Infinity, {"n": Infinity}, [], { }]',
+    "]",
+    "[]]",
+    '["a" "b"]',
+    '"',
+    '["\\"]',
+]
+
+
+@pytest.mark.parametrize("cut", [1, 2, 100])
+@pytest.mark.parametrize("depth", [0, 99, 100, 101, 201])
+@pytest.mark.parametrize("open_, close", [("[", "]"), ('{"k": ', "}")], ids=["list", "dict"])
+def test_reader_matches_json_loads(monkeypatch, cut, depth, open_, close):
+    # json.loads itself reads each of these texts: they nest at most 202 deep
+    monkeypatch.setattr(trees, "_CUT", cut)
+    for bare in GOOD_JSON + BAD_JSON + READER_JSON:
+        text = open_ * depth + bare + close * depth
+        try:
+            want = repr(json.loads(text))
+        except ValueError:
+            with pytest.raises(ValueError, match="^invalid JSON: "):
+                trees._parse_json(text)
+        else:
+            assert repr(trees._parse_json(text)) == want, bare
+
+
+def test_reader_is_deep_and_linear():
+    value = trees._parse_json("[" * 100_000 + "]" * 100_000)
+    depth = 1
+    while value:
+        (value,) = value
+        depth += 1
+    assert depth == 100_000
+    # an unterminated string is one stray quote: the scan stops there
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^invalid JSON: unterminated string$"):
+        trees._parse_json('"' + '\\"' * 100_000)
+    assert time.perf_counter() - start < 0.5
 
 
 # The invariant behind each of these ids is written once, in selfcheck.CHECKS:

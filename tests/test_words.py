@@ -237,6 +237,23 @@ def test_brute_search_rechecks_only_members(monkeypatch, m, n):
     assert len(rechecked) == len(found)
 
 
+@pytest.mark.parametrize("m, n, frames", [(2, 3, 348), (1, 5, 252)])
+def test_brute_search_frames_placing_the_last_a(monkeypatch, m, n, frames):
+    # one bisect_left per frame that places the last a: the buried-pair prune
+    # keeps this work down (810 and 4,112 such frames without it), while the
+    # branches it cuts would die later on a tie and never reach the re-check
+    calls = []
+
+    def spy(*args, bisect_left=words.bisect_left):
+        calls.append(args)
+        return bisect_left(*args)
+
+    monkeypatch.setattr(words, "bisect_left", spy)
+    brute_enumerate_u(m, n)
+    brute_enumerate_d(m, n)
+    assert len(calls) == frames
+
+
 @pytest.mark.parametrize("m, n", [(1, 7), (4, 3)])
 def test_brute_search_equals_grammar_past_the_filter(m, n):
     # sizes past the naive filter above and past the selfcheck's brute ranges;
@@ -334,4 +351,3 @@ def test_negative_cap_rejected(monkeypatch):
 # the id runs that check itself, at the "full" level of conftest's fixture.
 test_lattice_reading_agrees_with_membership = selfcheck.check_lattice_reading
 test_enumerated_u_words_shape = selfcheck.check_u_word_shape
-test_d_split_valuations = selfcheck.check_cross_bifix_codes
