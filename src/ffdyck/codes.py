@@ -83,17 +83,16 @@ def verify_cross_bifix_free(
     lexicographically first violating triple (w1, w2, overlap length), where
     the length-`overlap` prefix of w1 equals a suffix of w2.
 
-    A set of all nonempty proper prefixes, probed with every nonempty suffix,
-    settles the verdict; the ordered scan for the first violating triple runs
-    only when that probe finds an overlap.
+    One dict maps each nonempty proper prefix to the least word that has it,
+    so the first violation is the least (least[w2[-k:]], w2, k) over the
+    suffixes w2[-k:] that are keys, found in one pass with no ordered re-scan.
     """
     ordered = sorted(set(ws))
-    prefixes = {w[:k] for w in ordered for k in range(1, len(w))}
-    if not any(w[-k:] in prefixes for w in ordered for k in range(1, len(w) + 1)):
-        return True, None
-    for w1 in ordered:
-        for w2 in ordered:
-            for k in range(1, min(len(w1) - 1, len(w2)) + 1):
-                if w1[:k] == w2[-k:]:
-                    return False, (w1, w2, k)
-    return True, None
+    least = {w[:k]: w for w in reversed(ordered) for k in range(1, len(w))}
+    triples = [
+        (least[w[-k:]], w, k)
+        for w in ordered
+        for k in range(1, len(w) + 1)
+        if w[-k:] in least
+    ]
+    return (False, min(triples)) if triples else (True, None)

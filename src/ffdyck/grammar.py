@@ -5,8 +5,7 @@ L_1 .. L_{2m+1} is
 
     D       = empty + L_1 L_1 b + L_2 b,
     L_{2m+1} = a,
-    L_{2m}   = a L_1 b,
-    L_i      = L_{i+1} L_1 b + L_{i+2} b      for 1 <= i <= 2m-1,
+    L_i      = L_{i+1} L_1 b + L_{i+2} b   for 1 <= i <= 2m (L_{2m+2} empty),
 
 an unambiguous context-free grammar.  L_i holds the factor-free words of
 total valuation i whose nonempty prefixes all have valuation above i.  Every
@@ -54,8 +53,9 @@ class _Expander:
     proportional to their letters, which a second budget of 10 x the cap
     bounds (at the default cap, `generate --m 2 --n 6` holds 11.0 M letters).
     Each batch of words is charged before it is built, so no memo entry can
-    overshoot either budget.  A length where L_i must be empty returns before
-    the memo and charges nothing.
+    overshoot either budget.  A length where L_i must be empty, or an index
+    past 2m+1, returns before the memo and charges nothing; so L_{2m} is
+    a L_1 b by the general rule, the one block (a, L_1) of its splits.
     """
 
     def __init__(self, m: int, cap: int):
@@ -83,20 +83,15 @@ class _Expander:
 
     def l_words(self, i: int, length: int) -> tuple[str, ...]:
         """The words of L_i of this length, sorted; memoized."""
-        if length < 1 or (i + 2 * length) % self.per:
+        if length < 1 or i > 2 * self.m + 1 or (i + 2 * length) % self.per:
             return ()
         key = (i, length)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        m = self.m
-        if i == 2 * m + 1:
+        if i == 2 * self.m + 1:
             words = ("a",) if length == 1 else ()
             self.charge(len(words), length)
-        elif i == 2 * m:
-            inner = self.l_words(1, length - 2)
-            self.charge(len(inner), length)
-            words = tuple(["a" + w + "b" for w in inner])
         else:
             acc: list[str] = []
             for left, right in self.splits(i, length):

@@ -76,15 +76,18 @@ def brute_cap(override: int | None = None) -> int:
 
 
 def check_args(m: int, n: int = 0) -> None:
-    """The library's input contract for a slope m and a size n: m >= 1, n >= 0."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """The library's input contract for a slope m and a size n: ints, m >= 1, n >= 0."""
+    for name, value, low in (("m", m, 1), ("n", n, 0)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}")
 
 
 def check_word(word: str) -> None:
-    """The input contract for a word: letters a and b only."""
+    """The input contract for a word: a str of letters a and b only."""
+    if not isinstance(word, str):
+        raise ValueError(f"word must be a str, got {type(word).__name__}")
     # one C-level pass: every letter outside ASCII encodes as "?"
     if word.encode("ascii", "replace").translate(None, b"ab"):
         stray = next(c for c in word if c not in "ab")
@@ -111,6 +114,8 @@ def from_binary(word: str) -> str:
 
     Any letter outside {0, 1} raises ValueError.
     """
+    if not isinstance(word, str):
+        raise ValueError(f"word must be a str, got {type(word).__name__}")
     if word.encode("ascii", "replace").translate(None, b"01"):
         stray = "".join(sorted(set(word) - {"0", "1"}))
         raise ValueError(f"word contains letters outside the '01' alphabet: {stray!r}")

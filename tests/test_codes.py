@@ -3,6 +3,7 @@
 import json
 import pickle
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -92,9 +93,22 @@ def test_verifier_matches_naive_triple_scan():
     verdicts = set()
     for _ in range(300):
         ws = rng.sample(pool, rng.randint(0, 8))
-        if rng.random() < 0.5:
+        for _ in range(rng.choice([0, 0, 1, 2])):
             ws.append("".join(rng.choice("01") for _ in range(rng.randint(1, 7))))
+        if ws and rng.random() < 0.3:
+            ws.append(rng.choice(ws))
         want = naive_first_overlap(ws)
         assert verify_cross_bifix_free(ws) == want, ws
         verdicts.add(want[0])
     assert verdicts == {True, False}
+
+
+def test_verifier_names_a_late_violation_in_one_pass():
+    # "11" overlaps every word ending in 1, yet sorts after all of them; the
+    # answer pairs it with the least word, and an ordered scan of all pairs
+    # of this 923-word set would take seconds to reach it.
+    ws = build_code(2, 4).words
+    start = time.perf_counter()
+    got = verify_cross_bifix_free(ws + ("11",))
+    assert time.perf_counter() - start < 1.0
+    assert got == (False, ("11", min(ws), 1))

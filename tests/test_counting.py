@@ -19,6 +19,7 @@ from ffdyck.counting import (
 from ffdyck.grammar import expand_l_words
 from ffdyck.selfcheck import series_sum
 from ffdyck.series import d_series, l_series, u_series
+from ffdyck.words import check_word, from_binary, to_binary
 
 U_SLOPE52 = [3, 19, 153, 1390, 13581, 139315, 1479855]
 D_SLOPE52 = [3, 13, 94, 810, 7667, 76998, 805560]  # OEIS A274052
@@ -160,6 +161,14 @@ def test_counts_past_enumerable_sizes():
         pytest.param(expand_l_words, (2, 1, -5), "n must be >= 0", id="expand_l_words-n"),
         pytest.param(build_code, (0, 0), "m must be >= 1", id="build_code-m"),
         pytest.param(build_code, (1, -3), "n must be >= 0", id="build_code-n"),
+        pytest.param(count_u, (2.0, 3), "m must be an int, got float", id="count_u-m-float"),
+        pytest.param(count_d, (2, 1.5), "n must be an int, got float", id="count_d-n-float"),
+        pytest.param(count_u_slope52, (2.0,), "n must be an int, got float", id="slope52-n-float"),
+        pytest.param(u_series, (2, "3"), "n must be an int, got str", id="u_series-n-str"),
+        pytest.param(build_code, ("1", 2), "m must be an int, got str", id="build_code-m-str"),
+        pytest.param(check_word, (None,), "word must be a str, got NoneType", id="check_word-None"),
+        pytest.param(to_binary, (b"ab",), "word must be a str, got bytes", id="to_binary-bytes"),
+        pytest.param(from_binary, (b"",), "word must be a str, got bytes", id="from_binary-bytes"),
     ],
 )
 def test_invalid_input_rejected(counter, args, message):

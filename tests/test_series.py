@@ -74,6 +74,5 @@ def test_l_series_guard_catches_a_wrong_stride(monkeypatch):
 # The invariant behind each of these ids is written once, in selfcheck.CHECKS:
 # the id runs that check itself, at the "full" level of conftest's fixture.
 test_u_series_satisfies_functional_equation = selfcheck.check_u_functional_equation
-test_m1_quadratic_and_d_relation = selfcheck.check_u_functional_equation
 test_l_series_closed_relations = selfcheck.check_l_series_closed_relations
 test_l1_factors_through_u = selfcheck.check_l1_factorization

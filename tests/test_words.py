@@ -286,20 +286,25 @@ def test_negative_size_rejected(enumerate_words):
 
 
 @pytest.mark.parametrize(
-    "predicate, word",
+    "predicate, word, m, message",
     [
-        (is_in_u, ""),
-        (is_in_d, "aab"),
-        (is_factor_free, "aab"),
-        (is_dyck, "aab"),
-        (is_in_u_lattice, ""),
-        (valuation, "ab"),
-        (prefix_profile, "ab"),
+        pytest.param(is_in_u, "", 0, "m must be >= 1", id="is_in_u-"),
+        pytest.param(is_in_d, "aab", 0, "m must be >= 1", id="is_in_d-aab"),
+        pytest.param(is_factor_free, "aab", 0, "m must be >= 1", id="is_factor_free-aab"),
+        pytest.param(is_dyck, "aab", 0, "m must be >= 1", id="is_dyck-aab"),
+        pytest.param(is_in_u_lattice, "", 0, "m must be >= 1", id="is_in_u_lattice-"),
+        pytest.param(valuation, "ab", 0, "m must be >= 1", id="valuation-ab"),
+        pytest.param(prefix_profile, "ab", 0, "m must be >= 1", id="prefix_profile-ab"),
+        pytest.param(is_in_u, "babbbab", 1.5, "m must be an int, got float", id="is_in_u-float"),
+        pytest.param(is_in_d, "aab", "1", "m must be an int, got str", id="is_in_d-str"),
+        pytest.param(is_dyck, "aab", None, "m must be an int, got NoneType", id="is_dyck-None"),
+        pytest.param(is_in_u, None, 1, "word must be a str, got NoneType", id="is_in_u-word-None"),
+        pytest.param(valuation, ["a"], 1, "word must be a str, got list", id="valuation-word-list"),
     ],
 )
-def test_predicates_reject_zero_slope(predicate, word):
-    with pytest.raises(ValueError, match="m must be >= 1"):
-        predicate(word, 0)
+def test_predicates_reject_zero_slope(predicate, word, m, message):
+    with pytest.raises(ValueError, match=message):
+        predicate(word, m)
 
 
 @pytest.mark.parametrize(
