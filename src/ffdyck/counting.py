@@ -25,7 +25,7 @@ from math import comb, factorial
 from operator import add, mul
 
 from .bell import bell_table
-from .words import check_args
+from .words import check_args, check_int
 
 
 class NonIntegerResult(Exception):
@@ -46,6 +46,7 @@ def ascent_weight(m: int, j: int) -> int:
     simultaneously the number of primitive words of length (2m+3)j.
     """
     check_args(m)
+    check_int("j", j)
     if j < 0 or j > m:
         return 0
     return comb(m + j, m - j)
@@ -93,6 +94,7 @@ def u_odd_power_coeff(m: int, nu: int, ell: int) -> int:
     of any power of U must be.
     """
     check_args(m, nu)
+    check_int("ell", ell)
     if ell < 0:
         raise ValueError("ell must be >= 0")
     return _odd_power_from_row(m, nu, ell, bell_table(nu, _weighted_args(m))[nu])

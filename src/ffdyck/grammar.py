@@ -8,40 +8,41 @@ L_1 .. L_{2m+1} is
     L_i      = L_{i+1} L_1 b + L_{i+2} b   for 1 <= i <= 2m (L_{2m+2} empty),
 
 an unambiguous context-free grammar.  L_i holds the factor-free words of
-total valuation i whose nonempty prefixes all have valuation above i.  Every
-L_1 word factors as a * u * b^m with u in U, which is how U-words are
-produced here, without building a single L_1 word of the top length: the
-top rule L_1 = L_2 L_1 b + L_3 b is applied to factors whose share of the
-frame is already cut, the leading a of each L_2 and L_3 factor and the
-trailing b^(m-1) of each L_1 and L_3 factor (with the rule's own b, that is
-the b^m).  The frame is checked there, once per factor: a factor that lacks
-its part raises AssertionError naming it.  For a nonempty block that is the
-same as checking that every framed word has the a..b^m frame.
+total valuation i whose nonempty prefixes all have valuation above i, and D
+is the same rule at i = 0.  Every L_1 word factors as a * u * b^m with u in
+U, so U-words are made from the top rule's blocks with the a cut off the
+first list and the b^m off the end (literal b's, then the last list); a
+factor that lacks its part raises AssertionError naming it.
 
 Expansion is length-indexed and memoized per call.  A word of L_i and length
 l has valuation i = (2m+3)#a - 2l, so L_i is empty unless i + 2l is a
 multiple of 2m+3: the expander returns at once at every other length, and
-`_Expander.splits` steps the split point of L_{i+1} L_1 b by 2m+3 from the
-one residue where L_{i+1} can be nonempty, charging each nonempty block
-before it is built.  Each product is joined in one C-level pass,
-`map("".join, product(...))`.  Memo entries are sorted: factors of one
-length that are sorted give a sorted product, so an entry is one sorted run
-per block and its one sort merges them, and cutting a frame shared by every
-factor keeps the order.  U-words are therefore one sort (a merge of about n
-runs) away from sorted, and D-words and `expand_l_words` need no sort at
-all.  Duplicate derivations are NOT collapsed: every derivation still yields
-its own word and no set union is taken, so an ambiguity bug would surface as
-a count mismatch in the tests rather than being silently hidden.
+`_Expander.blocks` steps the split point of L_{i+1} L_1 b by 2m+3 from the
+one residue where L_{i+1} can be nonempty.  Each block is charged before it
+is built and joined in one C-level pass, `map("".join, product(...))`;
+sorted factors of one length give a sorted product, so one sort merges the
+runs.  The top rule of U and D is expanded two levels deep: a block's first
+factor that the memo lacks once the block's L_1 is fetched (for U, L_3 of
+the top length less one) serves that block only, so the blocks of its own
+rule are joined straight into the output and it is never stored, sorted or
+cut.  A call holds its memo entries, all shorter than the top length, and the
+output.  Duplicate derivations are NOT collapsed: every derivation still
+yields its own word and no set union is taken, so an ambiguity bug would
+surface as a count mismatch in the tests rather than being silently hidden.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import combinations, product, repeat
-from math import comb
+from math import comb, prod
 from operator import itemgetter
 
-from .words import CapExceeded, brute_cap, check_args, period
+from .words import CapExceeded, brute_cap, check_args, check_int, period
+
+
+_Piece = tuple[int | None, tuple[str, ...]]  # one factor of a block: (index, words)
+_B: _Piece = (None, ("b",))  # the rules' literal b
 
 
 class _Expander:
@@ -51,10 +52,10 @@ class _Expander:
     brute-force cap is charged against emitted words rather than against the
     C(length, #a) candidate bound used by the exhaustive searches.  Memory is
     proportional to their letters, which a second budget of 10 x the cap
-    bounds (at the default cap, `generate --m 2 --n 6` holds 11.0 M letters).
-    Each batch of words is charged before it is built, so no memo entry can
-    overshoot either budget.  A length where L_i must be empty, or an index
-    past 2m+1, returns before the memo and charges nothing; so L_{2m} is
+    bounds (at the default cap, `generate --m 2 --n 6` is charged 11.0 M
+    letters).  Each batch of words is charged before it is built, so no memo
+    entry can overshoot either budget.  A length where L_i must be empty, or
+    an index past 2m+1, gets no memo entry and charges nothing; so L_{2m} is
     a L_1 b by the general rule, the one block (a, L_1) of its splits.
     """
 
@@ -83,78 +84,90 @@ class _Expander:
 
     def l_words(self, i: int, length: int) -> tuple[str, ...]:
         """The words of L_i of this length, sorted; memoized."""
-        if length < 1 or i > 2 * self.m + 1 or (i + 2 * length) % self.per:
-            return ()
-        key = (i, length)
-        cached = self.memo.get(key)
+        cached = self.memo.get((i, length))
         if cached is not None:
             return cached
+        if length < 1 or i > 2 * self.m + 1 or (i + 2 * length) % self.per:
+            return ()
         if i == 2 * self.m + 1:
             words = ("a",) if length == 1 else ()
             self.charge(len(words), length)
         else:
-            acc: list[str] = []
-            for left, right in self.splits(i, length):
-                acc += map("".join, product(left, right, ("b",)))
-            shorter = self.l_words(i + 2, length - 1)
-            self.charge(len(shorter), length)
-            acc += [u + "b" for u in shorter]
-            # one sorted run per block: the sort merges them
-            acc.sort()
-            words = tuple(acc)
-        self.memo[key] = words
+            words = tuple(self.runs(i, length))
+        self.memo[i, length] = words
         return words
 
-    def splits(
-        self, i: int, length: int
-    ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-        """The nonempty blocks (L_{i+1}, L_1) of L_{i+1} L_1 b at this length.
+    def blocks(self, i: int, length: int) -> Iterator[tuple[tuple[int, int], list[_Piece]]]:
+        """The blocks of L_i = L_{i+1} L_1 b + L_{i+2} b at this length.
 
-        Each block is charged as the words it makes, of `length` letters,
-        before it is yielded.
+        A block is the key (index, length) of its first factor and its other
+        pieces, (index, words) pairs with the literal b as `_B`.  The L_1 of a
+        split is fetched here, before its first factor, and a split whose L_1
+        is empty is skipped.
         """
         per = self.per
         # L_{i+1} needs i+1 + 2 left_len = 0 (mod per); since 2(m+2) = 1
         # (mod per), that is left_len = -(i+1)(m+2)
         start = -(i + 1) * (self.m + 2) % per or per
         for left_len in range(start, length - 1, per):
-            left = self.l_words(i + 1, left_len)
-            if not left:
-                continue
             right = self.l_words(1, length - 1 - left_len)
             if right:
-                self.charge(len(left) * len(right), length)
-                yield left, right
+                yield (i + 1, left_len), [(1, right), _B]
+        yield (i + 2, length - 1), [_B]
+
+    def runs(self, i: int, length: int, lead=0, tail=0, stream=False) -> list[str]:
+        """The L_i words of this length less `lead` letters in front and `tail` at the end.
+
+        One sort merges their runs, one per joined block.  With `stream`, a
+        block's first factor that the memo does not hold is not stored: the
+        blocks of its own rule are charged as the entry would have been and
+        joined straight into the result.
+        """
+        words: list[str] = []
+        for key, rest in self.blocks(i, length):
+            rest, left = _cut_frame(rest, self.m, 0, tail)
+            if stream and key not in self.memo and key[0] <= 2 * self.m:  # L_{2m+1} = a
+                subs = [[(k[0], self.l_words(*k)), *r] for k, r in self.blocks(*key)]
+                self.charge(sum(prod(len(w) for _, w in sub) for sub in subs), key[1])
+            else:
+                subs = [[(key[0], self.l_words(*key))]]
+            for sub in subs:
+                lists = [w for _, w in _cut_frame(sub, self.m, lead, left)[0] + rest]
+                self.charge(prod(map(len, lists)), length)
+                words += map("".join, product(*lists))
+        words.sort()
+        return words
 
 
-def _cut_frame(
-    factors: tuple[str, ...], i: int, m: int, lead: int, tail: int
-) -> list[str] | tuple[str, ...]:
-    """Same-length L_i factors with their first `lead` and last `tail` letters cut.
+def _cut_frame(pieces: list[_Piece], m: int, lead: int, tail: int) -> tuple[list[_Piece], int]:
+    """A block's pieces less `lead` letters in front and `tail` at the end,
+    and what is left of `tail` if the pieces run out.
 
-    Those letters are the a (lead = 1) and the b's of the a..b^m frame; a
-    factor that lacks them raises AssertionError naming it.  Every factor
-    keeps its place in the sorted order.
+    The letters are the a (lead = 1) and the b's of the a..b^m frame; literal
+    b's drop off the end before the last list is cut.  A factor that lacks its
+    letters raises AssertionError naming it.  Each list keeps its order.
     """
-    if lead and not all(map(str.startswith, factors, repeat("a"))):
-        bad = next(f for f in factors if not f.startswith("a"))
-        raise AssertionError(
-            f"L_{i} factor lacks the leading a of the a..b^{m} frame: {bad}"
-        )
-    suffix = "b" * tail
-    if tail and not all(map(str.endswith, factors, repeat(suffix))):
-        bad = next(f for f in factors if not f.endswith(suffix))
-        raise AssertionError(
-            f"L_{i} factor lacks the b^{tail} tail of the a..b^{m} frame: {bad}"
-        )
-    if not (lead or tail):
-        return factors
-    return list(map(itemgetter(slice(lead, -tail or None)), factors))
+    pieces = list(pieces)
+    while tail and pieces and pieces[-1] is _B:
+        pieces.pop()
+        tail -= 1
+    for at, has, part, name, keep in (
+        (0, str.startswith, "a" * lead, "leading a", slice(lead, None)),
+        (-1, str.endswith, "b" * tail, f"b^{tail} tail", slice(-tail or None)),
+    ):
+        if part and pieces:
+            i, factors = pieces[at]
+            if not all(map(has, factors, repeat(part))):
+                bad = next(f for f in factors if not has(f, part))
+                raise AssertionError(f"L_{i} factor lacks the {name} of the a..b^{m} frame: {bad}")
+            pieces[at] = i, list(map(itemgetter(keep), factors))
+    return pieces, 0 if pieces else tail
 
 
 def expand_l_words(m: int, i: int, length: int, cap: int | None = None) -> list[str]:
     """All words of the given length derivable from L_i, sorted."""
     check_args(m, length)
+    check_int("i", i)
     if not 1 <= i <= 2 * m + 1:
         raise ValueError(f"index i must lie in 1..{2 * m + 1}, got {i}")
     return list(_Expander(m, brute_cap(cap)).l_words(i, length))
@@ -164,27 +177,13 @@ def generate_u_words(m: int, n: int, cap: int | None = None) -> list[str]:
     """All U-words of length (2m+3)n, sorted.
 
     They are the L_1 words of length (2m+3)n + m + 1 without their a..b^m
-    frame, built by the top rule L_1 = L_2 L_1 b + L_3 b from factors whose
-    share of the frame is already cut.
+    frame, built from the top rule L_1 = L_2 L_1 b + L_3 b with the frame
+    cut off each block's factors.
     """
     check_args(m, n)
     if n == 0:
         return [""]
-    expander = _Expander(m, brute_cap(cap))
-    length = period(m) * n + m + 1
-    words: list[str] = []
-    for left, right in expander.splits(1, length):
-        left = _cut_frame(left, 2, m, 1, 0)
-        right = _cut_frame(right, 1, m, 0, m - 1)
-        words += map("".join, product(left, right))
-    shorter = expander.l_words(3, length - 1)
-    expander.charge(len(shorter), length)
-    del expander  # frees every memo entry but the last factors
-    if shorter:
-        words += _cut_frame(shorter, 3, m, 1, m - 1)
-    del shorter
-    words.sort()
-    return words
+    return _Expander(m, brute_cap(cap)).runs(1, period(m) * n + m + 1, 1, m, stream=True)
 
 
 def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
@@ -195,7 +194,7 @@ def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
     check_args(m, n)
     if n == 0:
         return []
-    return list(_Expander(m, brute_cap(cap)).l_words(0, period(m) * n))
+    return _Expander(m, brute_cap(cap)).runs(0, period(m) * n, stream=True)
 
 
 def primitive_u_words(m: int, j: int, cap: int | None = None) -> list[str]:
@@ -212,6 +211,7 @@ def primitive_u_words(m: int, j: int, cap: int | None = None) -> list[str]:
     with the insertion filter itself.
     """
     check_args(m)
+    check_int("j", j)
     if not 1 <= j <= m:
         raise ValueError(f"primitive words exist for 1 <= j <= m, got j={j}")
     _Expander(m, brute_cap(cap)).charge(comb(m + j, m - j), period(m) * j)

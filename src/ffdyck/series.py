@@ -26,7 +26,7 @@ from __future__ import annotations
 from operator import mul
 
 from .bell import binomial
-from .words import check_args, period
+from .words import check_args, check_int, period
 
 
 def _u_powers(m: int, order: int) -> list[list[int]]:
@@ -74,6 +74,7 @@ def l_series(m: int, i: int, order: int) -> tuple[int, ...]:
     nonzero off that class, so no skipped product is ever nonzero.
     """
     check_args(m, order)
+    check_int("i", i)
     top = 2 * m + 1
     if not 1 <= i <= top:
         raise ValueError(f"index i must lie in 1..{top}, got {i}")

@@ -60,6 +60,7 @@ def brute_cap(override: int | None = None) -> int:
     A negative cap is rejected with a ValueError naming where it came from.
     """
     if override is not None:
+        check_int("cap", override)
         source, cap = "cap", override
     else:
         source = BRUTE_CAP_ENV
@@ -75,11 +76,16 @@ def brute_cap(override: int | None = None) -> int:
     return cap
 
 
+def check_int(name: str, value: int) -> None:
+    """The input contract's type rule for an integer argument: it is an int."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def check_args(m: int, n: int = 0) -> None:
     """The library's input contract for a slope m and a size n: ints, m >= 1, n >= 0."""
     for name, value, low in (("m", m, 1), ("n", n, 0)):
-        if not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+        check_int(name, value)
         if value < low:
             raise ValueError(f"{name} must be >= {low}")
 
@@ -318,6 +324,7 @@ def is_in_u_lattice(word: str, m: int) -> bool:
 
 def letter_counts(m: int, n: int) -> tuple[int, int]:
     """(#a, #b) of any valuation-0 word of length (2m+3)n."""
+    check_args(m, n)
     return 2 * n, (2 * m + 1) * n
 
 

@@ -16,10 +16,10 @@ from ffdyck.counting import (
     count_u_slope52,
     u_odd_power_coeff,
 )
-from ffdyck.grammar import expand_l_words
+from ffdyck.grammar import expand_l_words, primitive_u_words
 from ffdyck.selfcheck import series_sum
 from ffdyck.series import d_series, l_series, u_series
-from ffdyck.words import check_word, from_binary, to_binary
+from ffdyck.words import brute_cap, check_word, from_binary, letter_counts, to_binary
 
 U_SLOPE52 = [3, 19, 153, 1390, 13581, 139315, 1479855]
 D_SLOPE52 = [3, 13, 94, 810, 7667, 76998, 805560]  # OEIS A274052
@@ -169,6 +169,13 @@ def test_counts_past_enumerable_sizes():
         pytest.param(check_word, (None,), "word must be a str, got NoneType", id="check_word-None"),
         pytest.param(to_binary, (b"ab",), "word must be a str, got bytes", id="to_binary-bytes"),
         pytest.param(from_binary, (b"",), "word must be a str, got bytes", id="from_binary-bytes"),
+        pytest.param(expand_l_words, (2, 1.0, 5), "i must be an int, got float", id="expand_l_words-i-float"),
+        pytest.param(primitive_u_words, (2, 1.0), "j must be an int, got float", id="primitive-j-float"),
+        pytest.param(ascent_weight, (2, 1.0), "j must be an int, got float", id="ascent_weight-j-float"),
+        pytest.param(u_odd_power_coeff, (2, 1, 0.5), "ell must be an int, got float", id="odd_power-ell-float"),
+        pytest.param(l_series, (2, 1.5, 3), "i must be an int, got float", id="l_series-i-float"),
+        pytest.param(brute_cap, (1.5,), "cap must be an int, got float", id="brute_cap-float"),
+        pytest.param(letter_counts, (1.0, 2), "m must be an int, got float", id="letter_counts-m-float"),
     ],
 )
 def test_invalid_input_rejected(counter, args, message):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ffdyck import grammar, selfcheck
+from ffdyck import grammar
 from ffdyck.counting import count_d, count_u
 from ffdyck.grammar import (
     expand_l_words,
@@ -15,7 +15,7 @@ from ffdyck.grammar import (
     generate_u_words,
     primitive_u_words,
 )
-from ffdyck.words import CapExceeded, is_factor_free, prefix_profile, valuation
+from ffdyck.words import CapExceeded, is_factor_free, period, prefix_profile, valuation
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,10 +97,13 @@ def test_generate_u_examples():
     ],
 )
 def test_frame_guard_fires(monkeypatch, left, right, error):
-    # the frame is checked on the factors of L_1 = L_2 L_1 b before any
-    # U-word is built from them
-    block = ((left,), (right,))
-    monkeypatch.setattr(grammar._Expander, "splits", lambda self, i, length: iter([block]))
+    # the frame is checked on the factors of a top block L_1 = L_2 L_1 b, here
+    # one whose L_2 the memo holds, before any U-word is built from them
+    def blocks(self, i, length):
+        self.memo[2, len(left)] = (left,)
+        yield (2, len(left)), [(1, (right,)), grammar._B]
+
+    monkeypatch.setattr(grammar._Expander, "blocks", blocks)
     with pytest.raises(AssertionError, match=error):
         generate_u_words(2, 1)
 
@@ -161,6 +164,34 @@ def test_primitive_index_bounds():
         primitive_u_words(2, 0)
 
 
+@pytest.mark.parametrize(
+    "gen, top",
+    [pytest.param(generate_u_words, 1, id="U"), pytest.param(generate_d_words, 0, id="D")],
+)
+def test_top_factors_used_once_are_not_stored(monkeypatch, gen, top):
+    # the top rule is L_top = L_{top+1} L_1 b + L_{top+2} b at the top length
+    # (L_1 framed for U, L_0 = D); every block's L_1 is fetched before its
+    # first factor, so what the memo holds then is what those L_1's stored
+    m, n = 2, 5
+    length = period(m) * n + (m + 1 if top else 0)
+    made = []
+    init = grammar._Expander.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(grammar._Expander, "__init__", spy)
+    gen(m, n)
+    held = grammar._Expander(m, 10**9)
+    for right in range(1, length - 1):
+        held.l_words(1, right)
+    firsts = {(top + 1, left) for left in range(1, length - 1)} | {(top + 2, length - 1)}
+    stored = firsts & made[0].memo.keys()
+    assert stored <= held.memo.keys(), sorted(stored - held.memo.keys())
+    assert (top + 2, length - 1) not in stored
+
+
 def test_cap_applies_to_grammar():
     # the shortest L words are charged first, and they average under 10 letters
     with pytest.raises(
@@ -182,11 +213,13 @@ def test_cap_applies_to_grammar():
         pytest.param(generate_d_words, count_d, 2, 4, 4385, id="D-2-4"),
         pytest.param(generate_u_words, count_u, 1, 8, 10463, id="U-1-8"),
         pytest.param(generate_u_words, count_u, 3, 3, 8004, id="U-3-3"),
+        pytest.param(generate_u_words, count_u, 2, 5, 91167, id="U-2-5"),
+        pytest.param(generate_d_words, count_d, 2, 5, 51375, id="D-2-5"),
     ],
 )
 def test_cap_threshold(gen, count, m, n, cap):
     # the lowest cap each list fits in: every charge of the expansion adds up
-    # to it, and the letter budget binds first at all three sizes
+    # to it, and the letter budget binds first at every size
     assert len(gen(m, n, cap=cap)) == count(m, n)
     with pytest.raises(CapExceeded, match=f"more than {10 * (cap - 1)} letters,"):
         gen(m, n, cap=cap - 1)
@@ -194,6 +227,7 @@ def test_cap_threshold(gen, count, m, n, cap):
 
 def test_output_digests_past_the_brute_sizes():
     # sha256 of the newline-joined lists, at sizes the brute force cannot reach
+    # and at the bench's grammar-only sizes (1, 10), (2, 6) and (3, 4)
     want = {
         (1, 8): (
             "8be0c12dc2f870e1c6f763f31125f5c94fc8cf70709f135069276789ac08a0f2",
@@ -206,6 +240,18 @@ def test_output_digests_past_the_brute_sizes():
         (3, 3): (
             "34474f57d5cedd90337ee82d71199eead4ba560ea88da07b7dde9557ded1f947",
             "9a2fdc92d1774beebb7c35c41f3f274d597a0fe6c9e791f998d148aa7d6ede97",
+        ),
+        (1, 10): (
+            "4ca1f616b95b4ac0c471ec4c7179d7f962c12365e32fca094a23409b5aa3688e",
+            "2eda85105b5d6c14521a46d5c1d6f44dec09599575d6fe752844aaf2c207d4c9",
+        ),
+        (2, 6): (
+            "27a2b6d838f711b43f70b1c0ee1ead1529f4a4c0ed253432b6be06f0c33def38",
+            "f05620ba7f86b7387bcddf0415300f9a25d43eafcd9a3b541e8edff1521ca385",
+        ),
+        (3, 4): (
+            "7f99a2d179b766f0e7cdb85cb3368bc84f8cc68321dc11b6c550d35888d2667e",
+            "af1ed1710976d0f9e8ee2c319121cbff61e880c7358ca78a7cfe7d4119530dc5",
         ),
     }
     for (m, n), digests in want.items():
@@ -228,9 +274,3 @@ def test_generated_words_have_uniform_letter_counts():
             assert len(w) == (2 * m + 3) * n
             assert w.count("a") == 2 * n
             assert valuation(w, m) == 0
-
-
-# The invariant behind each of these ids is written once, in selfcheck.CHECKS:
-# the id runs that check itself, at the "full" level of conftest's fixture.
-test_grammar_equals_brute_force = selfcheck.check_grammar_vs_brute
-test_primitive_counts_match_ascent_weights = selfcheck.check_primitive_blocks
