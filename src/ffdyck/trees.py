@@ -20,9 +20,11 @@ the up tokens of the nodes it closes, then the b's of the token its a ends.
 A run of 0 or 1 b's before an a fills the slot with a new node ("a", or "ba"
 coloring it blue).  A longer run leaves the slot a leaf, and open nodes
 close until 3 b's remain (a plain gap) or 4 remain under an uncolored node
-with no child yet (the red gap); the run after the last a closes every open
-node and must be used up exactly.  A closing node spends two b's and turns
-green when it is uncolored with two children, and one b otherwise.  These
+with no child yet (the red gap); past the loop, the run after the last a
+closes every open node and must be used up exactly.  A closing node spends
+two b's and turns green when it is uncolored with two children, and one b
+otherwise.  `ColoredTree.__new__` checks it like any node, so a parser
+fault surfaces as MalformedTraversal, never as a malformed tree.  These
 cases are mutually exclusive, so the parse is deterministic.  The round
 trips over every word and every tree with n <= 3 (selfcheck), over all of U
 at n = 4, deep chains of each node kind and seeded words with n = 100 to 300
@@ -85,9 +87,9 @@ class ColoredTree:
     color: str | None
     children: tuple["ColoredTree", ...]
 
-    def __init__(
-        self, color: str | None = None, children: tuple["ColoredTree", ...] = ()
-    ) -> None:
+    def __new__(
+        cls, color: str | None = None, children: tuple["ColoredTree", ...] = ()
+    ) -> "ColoredTree":
         deg = len(children)
         if deg not in (0, 2, 4):
             raise MalformedTree(f"outdegree {deg} is not 0, 2 or 4")
@@ -100,8 +102,10 @@ class ColoredTree:
             raise MalformedTree(
                 f"outdegree-{deg} node must be uncolored, got {color!r}"
             )
-        object.__setattr__(self, "color", color)
-        object.__setattr__(self, "children", tuple(children))
+        self = object.__new__(cls)
+        _set_color(self, color)
+        _set_children(self, tuple(children))
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"ColoredTree is immutable: cannot set {name!r}")
@@ -195,6 +199,9 @@ class ColoredTree:
         return cls.from_json_obj(_parse_json(text))
 
 
+# the slot descriptors' setters, which get past the immutable __setattr__
+_set_color = ColoredTree.color.__set__
+_set_children = ColoredTree.children.__set__
 LEAF = ColoredTree()
 
 
@@ -266,24 +273,24 @@ def _render(
     """Preorder walk with an explicit stack, so any depth renders.
 
     An inner node emits its color's down token, its children separated by the
-    gap token, then the up token; a leaf emits `leaf`.
+    gap token, then the up token; a leaf emits `leaf`.  A leaf child is pushed
+    as its text, so the walk visits inner nodes only.
     """
     parts: list[str] = []
-    todo: list[ColoredTree | str] = [tree]  # nodes to visit and tokens to emit
+    # inner nodes to visit and text to emit
+    todo: list[ColoredTree | str] = [tree if tree.children else leaf]
     while todo:
         item = todo.pop()
-        if isinstance(item, str):
+        if type(item) is str:
             parts.append(item)
-            continue
-        if not item.children:
-            parts.append(leaf)
             continue
         down, gap, up = tokens[item.color]
         parts.append(down)
         todo.append(up)
-        for child in reversed(item.children[1:]):
-            todo.extend((child, gap))
-        todo.append(item.children[0])
+        for child in item.children[:0:-1]:
+            todo.extend((child if child.children else leaf, gap))
+        first = item.children[0]
+        todo.append(first if first.children else leaf)
     return "".join(parts)
 
 
@@ -296,34 +303,37 @@ def word_to_tree(word: str) -> ColoredTree:
     """Parse a nonempty slope-5/2 U-word into its colored tree."""
     if not word or not is_in_u(word, 2):
         raise NotInU(f"not a nonempty U-word for slope 5/2: {word!r}")
-    runs = word.split("a")
-    last = len(runs) - 1
+    *runs, last = map(len, word.split("a"))
     stack: list[list[Any]] = []  # open nodes, innermost last: [color, children]
     try:
-        for i, run in enumerate(map(len, runs)):
-            if run < 2 and i < last:
+        for run in runs:
+            if run < 2:
                 stack.append(["blue" if run else None, []])
                 continue
             # the slot is a leaf: close nodes until 3 b's remain (a plain gap)
-            # or 4 under an uncolored node with no child yet (the red gap);
-            # after the last a, close every node
+            # or 4 under an uncolored node with no child yet (the red gap)
             node = LEAF
-            while stack and (
-                i == last or run > 4 or (run == 4 and (stack[-1][0] or stack[-1][1]))
-            ):
+            while stack and (run > 4 or (run == 4 and (stack[-1][0] or stack[-1][1]))):
                 color, kids = stack.pop()
                 kids.append(node)
                 green = color is None and len(kids) == 2
                 run -= 1 + green
                 node = ColoredTree("green" if green else color, kids)
-            if i < last:
-                if not stack or run not in (3, 4):
-                    raise MalformedTraversal(
-                        f"b-run remainder {run} fits no gap here (word {word!r})"
-                    )
-                stack[-1][1].append(node)
-                if run == 4:
-                    stack[-1][0] = "red"
+            if not stack or run not in (3, 4):
+                raise MalformedTraversal(
+                    f"b-run remainder {run} fits no gap here (word {word!r})"
+                )
+            stack[-1][1].append(node)
+            if run == 4:
+                stack[-1][0] = "red"
+        # the run after the last a closes every open node
+        node, run = LEAF, last
+        while stack:
+            color, kids = stack.pop()
+            kids.append(node)
+            green = color is None and len(kids) == 2
+            run -= 1 + green
+            node = ColoredTree("green" if green else color, kids)
     except MalformedTree as exc:
         raise MalformedTraversal(
             f"replay built an invalid tree: {exc} (word {word!r})"

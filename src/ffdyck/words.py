@@ -84,10 +84,12 @@ def check_int(name: str, value: int) -> None:
 
 def check_args(m: int, n: int = 0) -> None:
     """The library's input contract for a slope m and a size n: ints, m >= 1, n >= 0."""
-    for name, value, low in (("m", m, 1), ("n", n, 0)):
-        check_int(name, value)
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}")
+    check_int("m", m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    check_int("n", n)
+    if n < 0:
+        raise ValueError("n must be >= 0")
 
 
 def check_word(word: str) -> None:
@@ -152,12 +154,25 @@ def is_dyck(word: str, m: int) -> bool:
     """Total valuation 0 and no prefix valuation below 0."""
     check_args(m)
     check_word(word)
-    rise = 2 * m + 1
+    return _is_dyck(word, 2 * m + 1)
+
+
+def _is_dyck(word: str, rise: int) -> bool:
+    """`is_dyck` without the contract checks, one b-run at a time.
+
+    A b-run only descends and an a only climbs, so the lowest level of each
+    run is its last, and the word dips below 0 iff some run ends there.  The
+    word is split 256 letters at a time, so one that dips below 0 early, as
+    every nonempty U-word does, costs only its first slices.  A slice may cut
+    a run; the cut is at a prefix level all the same.
+    """
     h = 0
-    for c in word:
-        h += rise if c == "a" else -2
-        if h < 0:
-            return False
+    for start in range(0, len(word), 256):
+        h -= rise  # the slice's first piece follows no a of its own
+        for run in word[start : start + 256].split("a"):
+            h += rise - 2 * len(run)
+            if h < 0:
+                return False
     return h == 0
 
 
@@ -227,8 +242,18 @@ def is_factor_free(word: str, m: int) -> bool:
 
 
 def is_in_d(word: str, m: int) -> bool:
-    """Membership in D: factor-free generalized Dyck word (empty word included)."""
-    return is_dyck(word, m) and is_factor_free(word, m)
+    """Membership in D: factor-free generalized Dyck word (empty word included).
+
+    A nonempty Dyck word ends with a b onto level 0, which ties the start and
+    nothing else: any other level 0 would end a prefix, itself a tie that the
+    scan of all but the last letter reports.  So once the word is Dyck, that
+    scan alone decides factor-freeness.  The Dyck test comes first: it stops
+    at the first run that dips below 0, as every nonempty U-word does.
+    """
+    check_args(m)
+    check_word(word)
+    rise = 2 * m + 1
+    return _is_dyck(word, rise) and (not word or _run_scan(word[:-1], rise) is not None)
 
 
 def is_in_u(word: str, m: int) -> bool:

@@ -1,5 +1,6 @@
 """Colored-tree bijection for slope 5/2."""
 
+import hashlib
 import itertools
 import json
 import pickle
@@ -8,7 +9,7 @@ import time
 
 import pytest
 
-from ffdyck import selfcheck, trees
+from ffdyck import trees
 from ffdyck.grammar import generate_u_words
 from ffdyck.trees import (
     LEAF,
@@ -69,13 +70,14 @@ def test_enumerate_trees_sorted_and_distinct():
 
 
 def test_tree_invariants_enforced():
-    with pytest.raises(MalformedTree):
-        ColoredTree(None, (LEAF, LEAF))  # 2-node without a color
-    with pytest.raises(MalformedTree):
-        ColoredTree("blue", (LEAF, LEAF, LEAF, LEAF))  # colored 4-node
-    with pytest.raises(MalformedTree):
-        ColoredTree("blue", (LEAF,))  # outdegree 1
-    with pytest.raises(MalformedTree):
+    uncolored = r"^outdegree-2 node must be colored blue/red/green, got "
+    with pytest.raises(MalformedTree, match=uncolored + "None$"):
+        ColoredTree(None, (LEAF, LEAF))
+    with pytest.raises(MalformedTree, match=r"^outdegree-4 node must be uncolored, got 'blue'$"):
+        ColoredTree("blue", (LEAF, LEAF, LEAF, LEAF))
+    with pytest.raises(MalformedTree, match=r"^outdegree 1 is not 0, 2 or 4$"):
+        ColoredTree("blue", (LEAF,))
+    with pytest.raises(MalformedTree, match=uncolored + "'mauve'$"):
         ColoredTree("mauve", (LEAF, LEAF))
 
 
@@ -168,6 +170,43 @@ def test_long_spliced_words_round_trip(spliced_u_word):
         tree = word_to_tree(word)
         assert tree.edge_count == 2 * n
         assert tree_to_word(tree) == word
+
+
+def rendering_digests(trees_):
+    """First 16 hex digits of the sha256 of each rendering, one tree a line."""
+    return tuple(
+        hashlib.sha256("\n".join(map(render, trees_)).encode()).hexdigest()[:16]
+        for render in (tree_to_word, ColoredTree.canonical, ColoredTree.to_json_text)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, digests",
+    [
+        (0, ("e3b0c44298fc1c14", "72dfcfb0c470ac25", "157780c16388793e")),
+        (1, ("5d3812fad1861316", "9374013a9518fb36", "a8ea1f7ed03cc39b")),
+        (2, ("52fd5dbff53efa1d", "586e7ac0cfbe60b1", "2f407e3fee353ae4")),
+        (3, ("486441fa8bd23e36", "4137c93eecb1f349", "458bebca91daf3dc")),
+        (4, ("f30b475e75427089", "a56e2def94b3d248", "432ffd82c6813415")),
+    ],
+)
+def test_renderings_of_all_trees_are_pinned(n, digests):
+    assert rendering_digests(enumerate_trees(n)) == digests
+
+
+@pytest.mark.parametrize(
+    "tall, digests",
+    [
+        (False, ("04038c65723cf8b2", "11e22f8d43e84e7f", "8d95efff84001a36")),
+        (True, ("6ddc51e2631f007a", "0e31a749fc750539", "6bd7b21b4410a283")),
+    ],
+)
+def test_renderings_of_spliced_words_are_pinned(spliced_u_word, tall, digests):
+    rng = random.Random(2020 + tall)
+    words = [spliced_u_word(2, rng.randint(100, 300), rng, tall) for _ in range(3)]
+    parsed = [word_to_tree(word) for word in words]
+    assert [tree_to_word(tree) for tree in parsed] == words
+    assert rendering_digests(parsed) == digests
 
 
 def test_replay_faults_raise_malformed_traversal(monkeypatch):
@@ -279,9 +318,3 @@ def test_reader_is_deep_and_linear():
         trees._parse_json('"' + '\\"' * 100_000)
     assert time.perf_counter() - start < 0.5
 
-
-# The invariant behind each of these ids is written once, in selfcheck.CHECKS:
-# the id runs that check itself, at the "full" level of conftest's fixture.
-test_word_round_trips_all_lengths = selfcheck.check_tree_roundtrip_words
-test_tree_round_trips_all_trees = selfcheck.check_tree_roundtrip_trees
-test_enumerate_tree_counts = selfcheck.check_tree_counts

@@ -125,6 +125,8 @@ def test_factor_free_against_naive_scan(spliced_u_word):
     # past what the naive scan can reach, the per-letter replay is the reference
     for m, w, _, factor_free in long_words(spliced_u_word):
         assert is_factor_free(w, m) == replay_factor_free(w, m) == factor_free, (m, len(w))
+        profile = prefix_profile(w, m)
+        assert is_dyck(w, m) == (min(profile) == 0 == profile[-1]), (m, len(w))
         assert is_in_d(w, m) == (is_dyck(w, m) and factor_free), (m, len(w))
 
 
@@ -133,6 +135,12 @@ def test_is_in_d():
     assert is_in_d("ababb", 1)
     assert not is_in_d("aabbbaabbb", 1)
     assert is_in_d("", 1)
+
+
+def test_is_in_d_is_dyck_and_factor_free():
+    for m in (1, 2, 3):
+        for w in all_words(12):
+            assert is_in_d(w, m) == (is_dyck(w, m) and is_factor_free(w, m)), (w, m)
 
 
 def test_is_in_u():
@@ -305,6 +313,21 @@ def test_negative_size_rejected(enumerate_words):
 def test_predicates_reject_zero_slope(predicate, word, m, message):
     with pytest.raises(ValueError, match=message):
         predicate(word, m)
+
+
+@pytest.mark.parametrize(
+    "m, n, message",
+    [
+        (1.5, -1, "m must be an int, got float"),
+        (0, "1", "m must be >= 1"),
+        (1, "1", "n must be an int, got str"),
+        (1, -1, "n must be >= 0"),
+    ],
+)
+def test_check_args_order(m, n, message):
+    # the type of m, then its bound, then the type of n, then its bound
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        words.check_args(m, n)
 
 
 @pytest.mark.parametrize(
