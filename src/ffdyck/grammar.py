@@ -9,40 +9,43 @@ L_1 .. L_{2m+1} is
 
 an unambiguous context-free grammar.  L_i holds the factor-free words of
 total valuation i whose nonempty prefixes all have valuation above i, and D
-is the same rule at i = 0.  Every L_1 word factors as a * u * b^m with u in
-U, so U-words are made from the top rule's blocks with the a cut off the
-first list and the b^m off the end (literal b's, then the last list); a
-factor that lacks its part raises AssertionError naming it.
+is the same rule at i = 0.  Every L_i word starts with a, and for odd
+i = 2t+1 it ends in b^(m-t), by induction on the rule: L_1 b ends in
+b^(m+1), and L_{i+2} b in one b more than L_{i+2}.  So with s(i) =
+m - (i-1)/2 for odd i and 0 for even i, each word is a * core * b^s(i).
+The memo holds cores, so the L_1 cores are the U-words, L_{2m+1} = a has
+the empty core, and the rule reads
+
+    core_i = core_{i+1} b^s(i+1) a core_1 b^(m+1-s(i))  +  core_{i+2} b^(s(i+2)+1-s(i)).
+
+U-words are the L_1 cores of the top length, and D-words are a * core_0:
+both are joined from cores and constant pieces, and nothing is cut.
 
 Expansion is length-indexed and memoized per call.  A word of L_i and length
 l has valuation i = (2m+3)#a - 2l, so L_i is empty unless i + 2l is a
 multiple of 2m+3: the expander returns at once at every other length, and
 `_Expander.blocks` steps the split point of L_{i+1} L_1 b by 2m+3 from the
 one residue where L_{i+1} can be nonempty.  Each block is charged before it
-is built and joined in one C-level pass, `map("".join, product(...))`;
-sorted factors of one length give a sorted product, so one sort merges the
-runs.  The top rule of U and D is expanded two levels deep: a block's first
-factor that the memo lacks once the block's L_1 is fetched (for U, L_3 of
-the top length less one) serves that block only, so the blocks of its own
-rule are joined straight into the output and it is never stored, sorted or
-cut.  A call holds its memo entries, all shorter than the top length, and the
-output.  Duplicate derivations are NOT collapsed: every derivation still
-yields its own word and no set union is taken, so an ambiguity bug would
-surface as a count mismatch in the tests rather than being silently hidden.
+is built, at the length of its full words, and joined in one C-level pass,
+`map("".join, product(...))`; sorted cores of one length give a sorted
+product, so one sort merges the runs.  The top rule of U and D is expanded
+two levels deep: a block's first factor that the memo lacks once the
+block's L_1 is fetched (for U, L_3 of the top length less one) serves that
+block only, so the blocks of its own rule are joined straight into the
+output and it is never stored or sorted.  A call holds its memo entries,
+all shorter than the top length, and the output.  Duplicate derivations are
+NOT collapsed: every derivation still yields its own word and no set union
+is taken, so an ambiguity bug would surface as a count mismatch in the
+tests rather than being silently hidden.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 from math import comb, prod
-from operator import itemgetter
 
 from .words import CapExceeded, brute_cap, check_args, check_int, period
-
-
-_Piece = tuple[int | None, tuple[str, ...]]  # one factor of a block: (index, words)
-_B: _Piece = (None, ("b",))  # the rules' literal b
 
 
 class _Expander:
@@ -82,86 +85,72 @@ class _Expander:
                 " 10 x the brute-force cap"
             )
 
+    def tail(self, i: int) -> int:
+        """s(i): the b's that end every L_i word, outside its core."""
+        return self.m - i // 2 if i % 2 else 0
+
     def l_words(self, i: int, length: int) -> tuple[str, ...]:
-        """The words of L_i of this length, sorted; memoized."""
+        """The cores of the L_i words of this length, sorted; memoized."""
         cached = self.memo.get((i, length))
         if cached is not None:
             return cached
         if length < 1 or i > 2 * self.m + 1 or (i + 2 * length) % self.per:
             return ()
         if i == 2 * self.m + 1:
-            words = ("a",) if length == 1 else ()
+            words = ("",) if length == 1 else ()
             self.charge(len(words), length)
         else:
             words = tuple(self.runs(i, length))
         self.memo[i, length] = words
         return words
 
-    def blocks(self, i: int, length: int) -> Iterator[tuple[tuple[int, int], list[_Piece]]]:
-        """The blocks of L_i = L_{i+1} L_1 b + L_{i+2} b at this length.
+    def blocks(self, i: int, length: int) -> Iterator[tuple[tuple[int, int], list[tuple[str, ...]]]]:
+        """The blocks of core_i at this length, by L_i = L_{i+1} L_1 b + L_{i+2} b.
 
         A block is the key (index, length) of its first factor and its other
-        pieces, (index, words) pairs with the literal b as `_B`.  The L_1 of a
-        split is fetched here, before its first factor, and a split whose L_1
-        is empty is skipped.
+        pieces, each a sorted tuple of words: the L_1 cores or one constant.
+        The b's after core_{i+2} are s(i+2) + 1 - s(i): one for even i, none
+        for odd i.  The L_1 of a split is fetched here, before its first
+        factor, and a split whose L_1 is empty is skipped.
         """
         per = self.per
         # L_{i+1} needs i+1 + 2 left_len = 0 (mod per); since 2(m+2) = 1
         # (mod per), that is left_len = -(i+1)(m+2)
         start = -(i + 1) * (self.m + 2) % per or per
+        join, end = ("b" * self.tail(i + 1) + "a",), ("b" * (self.m + 1 - self.tail(i)),)
         for left_len in range(start, length - 1, per):
             right = self.l_words(1, length - 1 - left_len)
             if right:
-                yield (i + 1, left_len), [(1, right), _B]
-        yield (i + 2, length - 1), [_B]
+                yield (i + 1, left_len), [join, right, end]
+        yield (i + 2, length - 1), [] if i % 2 else [("b",)]
 
-    def runs(self, i: int, length: int, lead=0, tail=0, stream=False) -> list[str]:
-        """The L_i words of this length less `lead` letters in front and `tail` at the end.
+    def runs(self, i: int, length: int, head: tuple = (), stream=False) -> list[str]:
+        """The L_i cores of this length, each after the pieces of `head`.
 
         One sort merges their runs, one per joined block.  With `stream`, a
         block's first factor that the memo does not hold is not stored: the
         blocks of its own rule are charged as the entry would have been and
-        joined straight into the result.
+        joined straight into the result.  Adjacent constants are joined into
+        one piece before the product.
         """
         words: list[str] = []
         for key, rest in self.blocks(i, length):
-            rest, left = _cut_frame(rest, self.m, 0, tail)
             if stream and key not in self.memo and key[0] <= 2 * self.m:  # L_{2m+1} = a
-                subs = [[(k[0], self.l_words(*k)), *r] for k, r in self.blocks(*key)]
-                self.charge(sum(prod(len(w) for _, w in sub) for sub in subs), key[1])
+                subs = [[self.l_words(*k), *r] for k, r in self.blocks(*key)]
+                self.charge(sum(prod(map(len, sub)) for sub in subs), key[1])
             else:
-                subs = [[(key[0], self.l_words(*key))]]
+                subs = [[self.l_words(*key)]]
             for sub in subs:
-                lists = [w for _, w in _cut_frame(sub, self.m, lead, left)[0] + rest]
+                lists = []
+                for piece in (*head, *sub, *rest):
+                    if len(piece) == 1 and lists and len(lists[-1]) == 1:
+                        lists[-1] = (lists[-1][0] + piece[0],)
+                    else:
+                        lists.append(piece)
                 self.charge(prod(map(len, lists)), length)
                 words += map("".join, product(*lists))
         words.sort()
         return words
-
-
-def _cut_frame(pieces: list[_Piece], m: int, lead: int, tail: int) -> tuple[list[_Piece], int]:
-    """A block's pieces less `lead` letters in front and `tail` at the end,
-    and what is left of `tail` if the pieces run out.
-
-    The letters are the a (lead = 1) and the b's of the a..b^m frame; literal
-    b's drop off the end before the last list is cut.  A factor that lacks its
-    letters raises AssertionError naming it.  Each list keeps its order.
-    """
-    pieces = list(pieces)
-    while tail and pieces and pieces[-1] is _B:
-        pieces.pop()
-        tail -= 1
-    for at, has, part, name, keep in (
-        (0, str.startswith, "a" * lead, "leading a", slice(lead, None)),
-        (-1, str.endswith, "b" * tail, f"b^{tail} tail", slice(-tail or None)),
-    ):
-        if part and pieces:
-            i, factors = pieces[at]
-            if not all(map(has, factors, repeat(part))):
-                bad = next(f for f in factors if not has(f, part))
-                raise AssertionError(f"L_{i} factor lacks the {name} of the a..b^{m} frame: {bad}")
-            pieces[at] = i, list(map(itemgetter(keep), factors))
-    return pieces, 0 if pieces else tail
 
 
 def expand_l_words(m: int, i: int, length: int, cap: int | None = None) -> list[str]:
@@ -170,31 +159,32 @@ def expand_l_words(m: int, i: int, length: int, cap: int | None = None) -> list[
     check_int("i", i)
     if not 1 <= i <= 2 * m + 1:
         raise ValueError(f"index i must lie in 1..{2 * m + 1}, got {i}")
-    return list(_Expander(m, brute_cap(cap)).l_words(i, length))
+    expander = _Expander(m, brute_cap(cap))
+    tail = "b" * expander.tail(i)
+    return ["a" + core + tail for core in expander.l_words(i, length)]
 
 
 def generate_u_words(m: int, n: int, cap: int | None = None) -> list[str]:
     """All U-words of length (2m+3)n, sorted.
 
-    They are the L_1 words of length (2m+3)n + m + 1 without their a..b^m
-    frame, built from the top rule L_1 = L_2 L_1 b + L_3 b with the frame
-    cut off each block's factors.
+    They are the cores of the L_1 words of length (2m+3)n + m + 1, built
+    from the top rule L_1 = L_2 L_1 b + L_3 b.
     """
     check_args(m, n)
     if n == 0:
         return [""]
-    return _Expander(m, brute_cap(cap)).runs(1, period(m) * n + m + 1, 1, m, stream=True)
+    return _Expander(m, brute_cap(cap)).runs(1, period(m) * n + m + 1, stream=True)
 
 
 def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
     """All nonempty D-words of length (2m+3)n via D = L_1 L_1 b + L_2 b, sorted.
 
-    That rule is the general L_i rule at i = 0, so D expands as L_0.
+    That rule is the general L_i rule at i = 0, so D-words are a * core_0.
     """
     check_args(m, n)
     if n == 0:
         return []
-    return _Expander(m, brute_cap(cap)).runs(0, period(m) * n, stream=True)
+    return _Expander(m, brute_cap(cap)).runs(0, period(m) * n, (("a",),), stream=True)
 
 
 def primitive_u_words(m: int, j: int, cap: int | None = None) -> list[str]:

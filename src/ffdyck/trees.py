@@ -79,13 +79,15 @@ class ColoredTree:
 
     Immutable.  Trees and U-words are in bijection, so the word is the tree's
     identity: equality, hash, repr and pickling all go through a
-    non-recursive walk, and work at any depth.
+    non-recursive walk, and work at any depth.  A tree equals itself without
+    a walk, and its hash is computed once and kept in the `_hash` slot.
     """
 
-    __slots__ = ("color", "children")
+    __slots__ = ("color", "children", "_hash")
 
     color: str | None
     children: tuple["ColoredTree", ...]
+    _hash: int
 
     def __new__(
         cls, color: str | None = None, children: tuple["ColoredTree", ...] = ()
@@ -114,12 +116,18 @@ class ColoredTree:
         raise AttributeError(f"ColoredTree is immutable: cannot delete {name!r}")
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ColoredTree):
             return NotImplemented
         return tree_to_word(self) == tree_to_word(other)
 
     def __hash__(self) -> int:
-        return hash(tree_to_word(self))
+        try:
+            return self._hash
+        except AttributeError:
+            _set_hash(self, hash(tree_to_word(self)))
+            return self._hash
 
     def __repr__(self) -> str:
         return f"ColoredTree({self.canonical()})"
@@ -202,6 +210,7 @@ class ColoredTree:
 # the slot descriptors' setters, which get past the immutable __setattr__
 _set_color = ColoredTree.color.__set__
 _set_children = ColoredTree.children.__set__
+_set_hash = ColoredTree._hash.__set__
 LEAF = ColoredTree()
 
 

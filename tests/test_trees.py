@@ -54,6 +54,23 @@ def test_ten_edge_example_word():
     assert tree_to_word(tree) == TEN_EDGE_WORD
 
 
+def test_self_equality_and_repeated_hash_render_once(monkeypatch):
+    # a tree equals itself without a walk, and its hash is rendered once
+    tree = word_to_tree(TEN_EDGE_WORD)
+    rendered = []
+
+    def spy(*args, render=trees._render):
+        rendered.append(args)
+        return render(*args)
+
+    monkeypatch.setattr(trees, "_render", spy)
+    assert tree == tree
+    assert rendered == []
+    assert hash(tree) == hash(tree) == hash(TEN_EDGE_WORD)
+    assert len(rendered) == 1
+    assert tree == word_to_tree(TEN_EDGE_WORD)
+
+
 def test_word_round_trips_length_28():
     words = generate_u_words(2, 4)
     assert len(words) == 1390

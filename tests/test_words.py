@@ -229,10 +229,13 @@ def test_brute_enumerators_match_naive_filter():
         assert brute_enumerate_d(m, n) == sorted(naive_d), (m, n)
 
 
-@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (1, 5), (4, 2)])
+@pytest.mark.parametrize(
+    "m, n", sorted({*selfcheck.BRUTE_RANGES_FULL, (1, 5), (1, 6), (2, 4), (3, 3), (4, 2)})
+)
 def test_brute_search_rechecks_only_members(monkeypatch, m, n):
-    # the prunes are exact: every candidate the search re-checks is a member
-    # ((1, 5) and (4, 2) add the narrowest and the widest U band, m = 1 and 4)
+    # the prunes are exact: the membership re-check rejects no candidate, over
+    # the selfcheck brute ranges, the bench's brute sizes, and the narrowest
+    # and the widest U band, (1, 5) and (4, 2)
     rechecked = []
     for name in ("is_in_u", "is_in_d"):
 
@@ -241,7 +244,8 @@ def test_brute_search_rechecks_only_members(monkeypatch, m, n):
             return predicate(word, slope)
 
         monkeypatch.setattr(words, name, spy)
-    found = brute_enumerate_u(m, n) + brute_enumerate_d(m, n)
+    # C(30, 12) candidates at (1, 6) are past the default cap
+    found = brute_enumerate_u(m, n, cap=10**8) + brute_enumerate_d(m, n, cap=10**8)
     assert len(rechecked) == len(found)
 
 
@@ -374,8 +378,3 @@ def test_negative_cap_rejected(monkeypatch):
         words.brute_cap()
     assert words.brute_cap(0) == 0
 
-
-# The invariant behind each of these ids is written once, in selfcheck.CHECKS:
-# the id runs that check itself, at the "full" level of conftest's fixture.
-test_lattice_reading_agrees_with_membership = selfcheck.check_lattice_reading
-test_enumerated_u_words_shape = selfcheck.check_u_word_shape
