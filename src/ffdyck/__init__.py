@@ -38,6 +38,7 @@ _EXPORTS = {
     "trees": (
         "LEAF",
         "ColoredTree",
+        "MalformedTraversal",
         "MalformedTree",
         "NotInU",
         "enumerate_trees",
@@ -46,7 +47,6 @@ _EXPORTS = {
     ),
     "words": (
         "CapExceeded",
-        "MalformedTraversal",
         "brute_enumerate_d",
         "brute_enumerate_u",
         "from_binary",

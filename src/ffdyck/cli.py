@@ -11,8 +11,8 @@ checked by the library's input contract, not here: main turns its ValueError
 into exit 2 and one "error:" line on stderr.  That covers tree input too: a
 word outside U for --encode, and for --decode JSON that does not parse or a
 tree that breaks the outdegree and color rules, and a word with a letter
-outside 01 for --alphabet 01.  The CLI's own rule, --n-max >= 1, raises the
-same way.
+outside 01 for --alphabet 01.  The CLI's own two rules, --n-max >= 1 and a
+count --method that applies to --language U only, raise ValueError too.
 
 Output goes to stdout through `_write`, which loops until every byte is out;
 word lists in text format are written in one call.
@@ -126,7 +126,7 @@ def _read_word(word: str, alphabet: str) -> str:
     return word if alphabet == "ab" else words.from_binary(word)
 
 
-def _cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> int:
     from . import counting, series
 
     count = {
@@ -136,15 +136,16 @@ def _cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         ("D", "series"): lambda m, n: series.d_series(m, n)[n],
         ("U", "colored"): counting.count_colored_dyck,
         ("U", "brute"): lambda m, n: len(words.brute_enumerate_u(m, n)),
-        ("D", "brute"): lambda m, n: len(words.brute_enumerate_d(m, n)),
+        # the library lists nonempty D-words; D counts the empty word at n = 0
+        ("D", "brute"): lambda m, n: len(words.brute_enumerate_d(m, n)) + (n == 0),
     }.get((args.language, args.method))
     if count is None:
-        parser.error(f"--method {args.method} applies to --language U only")
+        raise ValueError(f"--method {args.method} applies to --language U only")
     _write(f"{count(args.m, args.n)}\n")
     return 0
 
 
-def _cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> int:
     from . import grammar
 
     gen = grammar.generate_u_words if args.language == "U" else grammar.generate_d_words
@@ -160,7 +161,7 @@ def _cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return 0
 
 
-def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     import json
 
     word = _read_word(args.word, args.alphabet)
@@ -177,7 +178,7 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
-def _cmd_tree(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_tree(args: argparse.Namespace) -> int:
     from . import trees
 
     if args.encode is not None:
@@ -187,7 +188,7 @@ def _cmd_tree(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_codes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_codes(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
     from . import codes
@@ -208,7 +209,7 @@ def _cmd_codes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0
 
 
-def _cmd_selfcheck(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_selfcheck(args: argparse.Namespace) -> int:
     from . import selfcheck
 
     ok = selfcheck.run(args.level, emit=lambda line: _write(line + "\n"), fmt=args.format)
@@ -216,11 +217,10 @@ def _cmd_selfcheck(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         words.brute_cap()
-        status = args.func(parser, args)
+        status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit
         return status
     except BrokenPipeError:
@@ -229,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
-    except (ValueError, words.MalformedTraversal) as exc:
+    except ValueError as exc:
         # the library's input contract (bad tree JSON and non-U words
         # included), the CLI's own value rules, and a tree parser bug
         print(f"error: {exc}", file=sys.stderr)

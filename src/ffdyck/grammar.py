@@ -100,6 +100,10 @@ class _Expander:
             words = ("",) if length == 1 else ()
             self.charge(len(words), length)
         else:
+            # L_i needs L_{i+2} one letter shorter, which needs L_{i+4}, ...:
+            # built from the far end, that chain of m steps never nests
+            for k in range(min(self.m - i // 2, length - 1), 0, -1):
+                self.l_words(i + 2 * k, length - k)
             words = tuple(self.runs(i, length))
         self.memo[i, length] = words
         return words

@@ -31,8 +31,9 @@ at n = 4, deep chains of each node kind and seeded words with n = 100 to 300
 pin the reading down, and every other word of up to 14 letters must fail the
 replay.
 
-The JSON form is written by the same walk and read by `json.loads` in pieces
-of bounded depth (`_parse_json`), so it too works at any depth.
+The JSON text is written by the same walk and read by `json.loads` in
+pieces of bounded depth (`_parse_json`), so it too works at any depth; the
+dict form is that text read back.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import re
 from typing import Any
 
-from .words import CapExceeded, MalformedTraversal, brute_cap, check_args, is_in_u
+from .words import CapExceeded, brute_cap, check_args, is_in_u
 
 COLORS = ("blue", "red", "green")
 
@@ -72,6 +73,10 @@ class NotInU(ValueError):
 
 class MalformedTree(ValueError):
     """A tree value violates the outdegree/color invariants."""
+
+
+class MalformedTraversal(ValueError):
+    """The tree parser lost its place while replaying a word (an internal bug)."""
 
 
 class ColoredTree:
@@ -149,18 +154,10 @@ class ColoredTree:
 
     def to_json_obj(self) -> dict[str, Any]:
         """Nested {"color", "children"} dicts; an uncolored node has color "none"."""
-        root: dict[str, Any] = {}
-        todo = [(self, root)]
-        while todo:
-            node, out = todo.pop()
-            kids: list[dict[str, Any]] = [{} for _ in node.children]
-            out["color"] = node.color or "none"
-            out["children"] = kids
-            todo.extend(zip(node.children, kids))
-        return root
+        return _parse_json(self.to_json_text())
 
     def to_json_text(self) -> str:
-        """`json.dumps(self.to_json_obj())`, written with an explicit stack."""
+        """`json.dumps(self.to_json_obj())`, written by the walk that spells the word."""
         return _render(self, _JSON_LEAF, _JSON_TOKENS)
 
     @classmethod

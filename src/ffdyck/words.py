@@ -46,14 +46,6 @@ class CapExceeded(Exception):
     """The candidate space of a brute-force search exceeds the configured cap."""
 
 
-class MalformedTraversal(Exception):
-    """The tree parser lost its place while replaying a word (an internal bug).
-
-    Raised by `trees.word_to_tree`; it lives here so that code catching it
-    need not import the tree module.
-    """
-
-
 def brute_cap(override: int | None = None) -> int:
     """Active brute-force candidate cap (override arg, else env var, else default).
 

@@ -47,10 +47,16 @@ def test_count_colored(capsys):
     assert code == 0 and out.strip() == "1390"
 
 
-def test_count_colored_rejected_for_d(capsys):
-    with pytest.raises(SystemExit) as err:
-        run_cli(capsys, "count", "--m", "2", "--n", "1", "--language", "D", "--method", "colored")
-    assert err.value.code == 2
+@pytest.mark.parametrize(
+    "language, method",
+    [("U", method) for method in ("bell", "series", "colored", "brute")]
+    + [("D", method) for method in ("bell", "series", "brute")],
+)
+def test_count_size_zero(capsys, language, method):
+    # the empty word is the one word of size 0 in both languages
+    argv = f"count --m 2 --n 0 --language {language} --method {method}".split()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == "1\n"
 
 
 def test_generate_binary_alphabet(capsys):
@@ -250,6 +256,9 @@ def test_selfcheck_json(capsys, monkeypatch):
         pytest.param("codes --m 0 --n-max 1", {}, 2, id="codes-m0"),
         pytest.param("codes --m 1 --n-max 0", {}, 2, id="codes-n-max0"),
         pytest.param("count --m 2 --n -1 --language D", {}, 2, id="count-n-1"),
+        pytest.param(
+            "count --m 2 --n 1 --language D --method colored", {}, 2, id="count-colored-d"
+        ),
         pytest.param("generate --m 2 --n -1 --language U", {}, 2, id="generate-n-1"),
         pytest.param("verify --m 1 --word 0a1", {}, 2, id="verify-ab"),
         pytest.param("verify --m 1 --word 0a1 --alphabet 01", {}, 2, id="verify-01"),

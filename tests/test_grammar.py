@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import sys
 from math import comb
 from pathlib import Path
 
@@ -165,6 +166,21 @@ def test_top_factors_used_once_are_not_stored(monkeypatch, gen, top):
     stored = firsts & made[0].memo.keys()
     assert stored <= held.memo.keys(), sorted(stored - held.memo.keys())
     assert (top + 2, length - 1) not in stored
+
+
+def test_stack_depth_does_not_grow_with_m():
+    # L_i(l) needs L_{i+2}(l-1), L_{i+4}(l-2), ...: m steps at m = 150, which
+    # took over 200 frames when each step nested in the one before it
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        words = generate_d_words(150, 1, cap=10**9)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(words) == count_d(150, 1)
 
 
 def test_cap_applies_to_grammar():

@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-from ffdyck import selfcheck, series
+from ffdyck import series
 from ffdyck.selfcheck import series_sum
 from ffdyck.series import d_series, l_series, u_series
 
@@ -70,9 +70,3 @@ def test_l_series_guard_catches_a_wrong_stride(monkeypatch):
     with pytest.raises(AssertionError, match="L_1 has a word of length 7"):
         l_series(1, 1, 40)
 
-
-# The invariant behind each of these ids is written once, in selfcheck.CHECKS:
-# the id runs that check itself, at the "full" level of conftest's fixture.
-test_u_series_satisfies_functional_equation = selfcheck.check_u_functional_equation
-test_l_series_closed_relations = selfcheck.check_l_series_closed_relations
-test_l1_factors_through_u = selfcheck.check_l1_factorization

@@ -14,13 +14,14 @@ from ffdyck.grammar import generate_u_words
 from ffdyck.trees import (
     LEAF,
     ColoredTree,
+    MalformedTraversal,
     MalformedTree,
     NotInU,
     enumerate_trees,
     tree_to_word,
     word_to_tree,
 )
-from ffdyck.words import MalformedTraversal, is_in_u
+from ffdyck.words import is_in_u
 
 TEN_EDGE_WORD = "abbbbaabbbabbbaababbbabbbbabbbbbabb"
 
