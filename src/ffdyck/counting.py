@@ -7,12 +7,16 @@ sums such coefficients over l, reading every row it needs from one table.
 count_colored_dyck is a deliberately independent dynamic program over
 colored classical Dyck paths; it shares no code with the Bell formula or the
 series solvers so it can serve as an oracle for both.  It advances one block
-(a maximal ascent with the down step that ends it) per row, keeps only the
-heights of the row's parity that the path can both reach and still return
-to 0 from, and builds each row from shifted slices of the last one, padded
-with zeros at both ends, with C-level `map` passes; the slice of weight 1 is
-added without a multiply.  count_u_slope52 sums its single-sum closed form
-by the ratio of consecutive terms, with an exact division at every step.
+(a maximal ascent with the down step that ends it) per row and meets in the
+middle: n rows forward from height 0, n rows backward down to height 0,
+joined by a dot product at row n.  A backward row at r blocks keeps the
+heights h <= r, from which r blocks can still return to 0, and its values
+count walks of at most n blocks, so they carry fewer bits than the forward
+rows n + 1..2n they replace.  Each row is built from shifted slices
+of the last one with C-level `map` passes and written straight into its
+zero-padded list; the slices of weight 1 are added without a multiply.
+count_u_slope52 sums its single-sum closed form by the ratio of consecutive
+terms, with an exact division at every step.
 
 Rational prefactors are evaluated as integer division with an exactness
 check; an inexact division means a transcription bug, never bad input.
@@ -130,41 +134,70 @@ def count_colored_dyck(m: int, n: int) -> int:
 
     Counts classical Dyck paths of semilength 2n assembled from the blocks
     "d" (j = 0) and "u^(2j) d" for j = 1..m, where each maximal ascent of
-    length 2j may be colored in C(m+j, m-j) ways.  Every block ends with its
-    one down step, so ascents are maximal without further bookkeeping, a
-    path has exactly 2n blocks, and its lowest points are block ends.  Block
-    by block the path is a walk with steps 2j - 1 in {-1, +1, +3, ...,
-    2m - 1} from height 0 back to 0 that never goes below 0 (a Lukasiewicz
-    path).
+    length 2j may be colored in w_j = C(m+j, m-j) ways.  Every block ends
+    with its one down step, so ascents are maximal without further
+    bookkeeping, a path has exactly 2n blocks, and its lowest points are
+    block ends.  Block by block the path is a walk with steps 2j - 1 in
+    {-1, +1, +3, ..., 2m - 1} from height 0 back to 0 that never goes below
+    0 (a Lukasiewicz path).
 
-    The DP has one row per block boundary, rows 0..2n.  Row k keeps only
-    the heights a walk can have after k blocks and still come back: every
-    step is odd, so h has the parity of k; each block goes up by at most
-    2m - 1, so h <= (2m - 1) k; each of the 2n - k blocks left goes down by
-    at most 1, so h <= 2n - k.  Entry i of row k is height k % 2 + 2i, and a
-    block of ascent 2j moves entry i + s - j of row k to entry i of row
-    k + 1, where s = (k + 1) % 2.  So the next row is the sum of m + 1
-    shifted slices of the current one, each times its weight.  The sum is
-    built from chained `map(add, ...)` and `map(mul, ...)` calls that one
-    `list` call runs in C, with no per-cell bytecode, bound test or double
-    indexing; the slice for j = m has weight C(2m, 0) = 1 and is added
-    without a multiply, so at m = 1 a row takes additions only.  The row is
-    padded with m zeros at each end: slices reaching below height 0 read
-    the front ones, and the down-step slice, which reads up to m entries
-    past the top reachable height of row k, reads the back ones.
+    The walk is counted in two halves that meet at row n, the middle block
+    boundary.  Forward row k holds F_k[h], the weight of the walks from 0 to
+    h in k blocks; backward row r holds B_r[h], the weight of the walks from
+    h down to 0 in r blocks.  Every walk is at some height h after n blocks,
+    so the count is the sum over h of F_n[h] * B_n[h].  Backward row r
+    stands in for forward row 2n - r of a single pass, with about as many
+    cells, but its values count walks of r <= n blocks, not 2n - r, so they
+    carry fewer bits.  Meeting at row n splits the 2n blocks evenly, and
+    both rows there hold the heights 0..n.
+
+    Each row keeps only the heights that matter.  Every step is odd, so h has
+    the parity of the row.  Forward row k keeps h <= (2m - 1) k, reachable
+    in k blocks, and h <= 2n - k, since each of the 2n - k blocks left goes
+    down by at most 1.  Backward row r keeps h <= min(r, (2m - 1)(2n - r)),
+    which is h <= r on the rows r <= n that it computes.  Entry i of a row
+    is height (row % 2) + 2i.
+
+    A block of ascent 2j moves forward entry i + s - j of row k to entry i
+    of row k + 1, where s = (k + 1) % 2, and backward entry i + j - s' of
+    row r - 1 to entry i of row r, where s' = 1 - r % 2.  One pass of the
+    loop takes both halves from row k to row k + 1, so s' = 1 - s.  Each new
+    row is the sum of m + 1 shifted slices of the last one, each times its
+    weight, built from chained `map(add, ...)` and `map(mul, ...)` calls
+    that one list extension runs in C, with no per-cell bytecode, bound
+    test or double indexing.  The slices of j = 0 and j = m have weight 1
+    and take no multiply, so at m = 1 a row takes additions only.  Each row
+    is written straight into its zero-padded list.  A forward row has m
+    zeros at each end: in front for the slices that reach below height 0,
+    at the back for the down-step slice, which reads up to m entries past
+    the top reachable height.  A backward row has one zero in front, for
+    the down step from height 0, and m at the back, for heights too high to
+    return.
     """
     check_args(m, n)
-    weights = [comb(m + j, m - j) for j in range(1, m)]  # j = m has weight 1
-    pad = [0] * m
-    row = [1]  # height 0, the only one reachable after 0 blocks
-    for k in range(2 * n):
+    weights = [comb(m + j, m - j) for j in range(m + 1)]  # w_0 = w_m = 1
+    middle = list(enumerate(weights[1:m], 1))
+    zeros = [0] * m
+    forward = zeros + [1] + zeros  # height 0, the only one after 0 blocks
+    backward = [0, 1] + zeros  # 0 blocks lead from height 0 to 0
+    for k in range(n):
         s = 1 - k % 2
         top = min(2 * n - k - 1, (2 * m - 1) * (k + 1))
-        size = (top - s) // 2 + 1  # heights s + 2i <= top
-        padded = pad + row + pad
-        acc = map(add, padded[m + s : m + s + size], padded[s : s + size])
-        for j, weight in enumerate(weights, 1):
-            seg = padded[m + s - j : m + s - j + size]
-            acc = map(add, acc, map(mul, seg, repeat(weight)))
-        row = list(acc)
-    return row[0]
+        size = (top - s) // 2 + 1
+        acc = map(add, forward[m + s : m + s + size], forward[s : s + size])
+        for j, w in middle:
+            seg = forward[m + s - j : m + s - j + size]
+            acc = map(add, acc, map(mul, seg, repeat(w)))
+        forward = zeros.copy()
+        forward += acc
+        forward += zeros
+        size = (k + 1) // 2 + 1  # heights up to k + 1
+        acc = map(add, backward[s : s + size], backward[s + m : s + m + size])
+        for j, w in middle:
+            seg = backward[s + j : s + j + size]
+            acc = map(add, acc, map(mul, seg, repeat(w)))
+        backward = [0]
+        backward += acc
+        backward += zeros
+    size = n // 2 + 1
+    return sum(map(mul, forward[m : m + size], backward[1 : 1 + size]))

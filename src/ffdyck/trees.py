@@ -23,8 +23,8 @@ close until 3 b's remain (a plain gap) or 4 remain under an uncolored node
 with no child yet (the red gap); past the loop, the run after the last a
 closes every open node and must be used up exactly.  A closing node spends
 two b's and turns green when it is uncolored with two children, and one b
-otherwise.  `ColoredTree.__new__` checks it like any node, so a parser
-fault surfaces as MalformedTraversal, never as a malformed tree.  These
+otherwise.  `_node` checks it like any node, so a parser fault
+surfaces as MalformedTraversal, never as a malformed tree.  These
 cases are mutually exclusive, so the parse is deterministic.  The round
 trips over every word and every tree with n <= 3 (selfcheck), over all of U
 at n = 4, deep chains of each node kind and seeded words with n = 100 to 300
@@ -86,6 +86,7 @@ class ColoredTree:
     identity: equality, hash, repr and pickling all go through a
     non-recursive walk, and work at any depth.  A tree equals itself without
     a walk, and its hash is computed once and kept in the `_hash` slot.
+    Children that are not a sequence of trees raise MalformedTree.
     """
 
     __slots__ = ("color", "children", "_hash")
@@ -97,22 +98,16 @@ class ColoredTree:
     def __new__(
         cls, color: str | None = None, children: tuple["ColoredTree", ...] = ()
     ) -> "ColoredTree":
-        deg = len(children)
-        if deg not in (0, 2, 4):
-            raise MalformedTree(f"outdegree {deg} is not 0, 2 or 4")
-        if deg == 2:
-            if color not in COLORS:
-                raise MalformedTree(
-                    f"outdegree-2 node must be colored blue/red/green, got {color!r}"
-                )
-        elif color is not None:
+        try:
+            kids = tuple(children)
+        except TypeError:
             raise MalformedTree(
-                f"outdegree-{deg} node must be uncolored, got {color!r}"
-            )
-        self = object.__new__(cls)
-        _set_color(self, color)
-        _set_children(self, tuple(children))
-        return self
+                f"children must be a sequence of trees, got {type(children).__name__}"
+            ) from None
+        for kid in kids:
+            if not isinstance(kid, ColoredTree):
+                raise MalformedTree(f"a child must be a tree, got {type(kid).__name__}")
+        return _node(color, kids)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"ColoredTree is immutable: cannot set {name!r}")
@@ -178,7 +173,7 @@ class ColoredTree:
                 color, deg = read
                 kids = tuple(built[len(built) - deg :])
                 del built[len(built) - deg :]
-                built.append(cls(color, kids))
+                built.append(_node(color, kids))
                 on_path.discard(id(item))
                 continue
             if not isinstance(item, dict):
@@ -208,7 +203,33 @@ class ColoredTree:
 _set_color = ColoredTree.color.__set__
 _set_children = ColoredTree.children.__set__
 _set_hash = ColoredTree._hash.__set__
-LEAF = ColoredTree()
+
+
+def _node(
+    color: str | None, kids: tuple[ColoredTree, ...] | list[ColoredTree]
+) -> ColoredTree:
+    """The node of `color` over `kids`, which must be trees; checks outdegree and color.
+
+    The readers and the enumeration build each node from trees they built
+    before, so they call this and skip the per-child test of `ColoredTree()`.
+    """
+    deg = len(kids)
+    if deg not in (0, 2, 4):
+        raise MalformedTree(f"outdegree {deg} is not 0, 2 or 4")
+    if deg == 2:
+        if color not in COLORS:
+            raise MalformedTree(
+                f"outdegree-2 node must be colored blue/red/green, got {color!r}"
+            )
+    elif color is not None:
+        raise MalformedTree(f"outdegree-{deg} node must be uncolored, got {color!r}")
+    self = object.__new__(ColoredTree)
+    _set_color(self, color)
+    _set_children(self, tuple(kids))
+    return self
+
+
+LEAF = _node(None, ())
 
 
 _CUT = 100  # json.loads reads containers at most this deep at a time
@@ -324,7 +345,7 @@ def word_to_tree(word: str) -> ColoredTree:
                 kids.append(node)
                 green = color is None and len(kids) == 2
                 run -= 1 + green
-                node = ColoredTree("green" if green else color, kids)
+                node = _node("green" if green else color, kids)
             if not stack or run not in (3, 4):
                 raise MalformedTraversal(
                     f"b-run remainder {run} fits no gap here (word {word!r})"
@@ -339,7 +360,7 @@ def word_to_tree(word: str) -> ColoredTree:
             kids.append(node)
             green = color is None and len(kids) == 2
             run -= 1 + green
-            node = ColoredTree("green" if green else color, kids)
+            node = _node("green" if green else color, kids)
     except MalformedTree as exc:
         raise MalformedTraversal(
             f"replay built an invalid tree: {exc} (word {word!r})"
@@ -371,7 +392,7 @@ def _trees_with_edges(
 ) -> tuple[ColoredTree, ...]:
     """Trees with `edges` >= 2 edges, sorted; smaller[e] holds those with e < edges."""
     out = [
-        ColoredTree(color, kids)
+        _node(color, kids)
         for color, deg in _KINDS
         for kids in _forests(deg, edges - deg, smaller)
     ]

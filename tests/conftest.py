@@ -6,12 +6,6 @@ from ffdyck.words import brute_enumerate_u
 
 
 @pytest.fixture
-def level():
-    """Selfcheck level for a check collected as a test: the full ranges."""
-    return "full"
-
-
-@pytest.fixture
 def spliced_u_word():
     """Builder of seeded U-words too large to enumerate."""
 

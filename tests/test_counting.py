@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from ffdyck import selfcheck
+from ffdyck import bell, counting, series
 from ffdyck.codes import build_code
 from ffdyck.counting import (
     NonIntegerResult,
@@ -115,6 +115,23 @@ def test_block_rows_match_step_by_step_dp(m, n_max):
         assert count_colored_dyck(m, n) == step_by_step_colored_dyck(m, n), n
 
 
+def test_colored_route_calls_no_other_route(monkeypatch):
+    want = count_colored_dyck(3, 40)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("count_colored_dyck called another counting route")
+
+    for module, name in [
+        (counting, "count_u"),
+        (counting, "u_odd_power_coeff"),
+        (counting, "bell_table"),
+        (bell, "bell_table"),
+        (series, "u_series"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert count_colored_dyck(3, 40) == want
+
+
 def test_exact_division_guard():
     assert _exact_div(6, 3, "ok") == 2
     with pytest.raises(NonIntegerResult):
@@ -131,6 +148,8 @@ def test_counts_past_enumerable_sizes():
         for n in range(31):
             assert count_colored_dyck(m, n) == count_u(m, n), (m, n)
     assert count_colored_dyck(3, 400) == count_u(3, 400)
+    # the halves meet at the odd row 999, past every enumeration
+    assert count_colored_dyck(1, 999) == comb(1998, 999) // 1000
     for n in (0, 1, 2, 3, 301, 400):
         assert count_u_slope52(n) == count_u(2, n), n
     catalan_199, catalan_200 = comb(398, 199) // 200, comb(400, 200) // 201
@@ -181,10 +200,3 @@ def test_counts_past_enumerable_sizes():
 def test_invalid_input_rejected(counter, args, message):
     with pytest.raises(ValueError, match=message):
         counter(*args)
-
-
-# The invariant behind each of these ids is written once, in selfcheck.CHECKS:
-# the id runs that check itself, at the "full" level of conftest's fixture.
-test_count_d_catalan_sum = selfcheck.check_catalan_closed_forms
-test_three_way_agreement = selfcheck.check_three_way_u_counts
-test_counts_match_brute_force = selfcheck.check_brute_counts

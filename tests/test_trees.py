@@ -97,6 +97,10 @@ def test_tree_invariants_enforced():
         ColoredTree("blue", (LEAF,))
     with pytest.raises(MalformedTree, match=uncolored + "'mauve'$"):
         ColoredTree("mauve", (LEAF, LEAF))
+    with pytest.raises(MalformedTree, match=r"^a child must be a tree, got str$"):
+        ColoredTree("blue", ("x", "y"))
+    with pytest.raises(MalformedTree, match=r"^children must be a sequence of trees, got int$"):
+        ColoredTree("blue", 5)
 
 
 def test_encode_rejects_non_u_words():
