@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: count, generate, verify, tree, codes, selfcheck.  Output is
-deterministic for identical invocations and all word lists are sorted.
+deterministic for identical invocations and all word lists are sorted.  At
+size 0 both languages list the empty word alone, so `count --n 0` prints 1.
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid arguments or a
 non-integer or negative DYCK_BRUTE_CAP, 3 brute force cap exceeded (cap
 configurable via the DYCK_BRUTE_CAP variable), 141 stdout closed before all
@@ -121,11 +122,6 @@ def _write(text: str) -> None:
         data = data[out.write(data) :]
 
 
-def _read_word(word: str, alphabet: str) -> str:
-    """The word in the ab alphabet; the library checks the letters itself."""
-    return word if alphabet == "ab" else words.from_binary(word)
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
     from . import counting, series
 
@@ -136,8 +132,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         ("D", "series"): lambda m, n: series.d_series(m, n)[n],
         ("U", "colored"): counting.count_colored_dyck,
         ("U", "brute"): lambda m, n: len(words.brute_enumerate_u(m, n)),
-        # the library lists nonempty D-words; D counts the empty word at n = 0
-        ("D", "brute"): lambda m, n: len(words.brute_enumerate_d(m, n)) + (n == 0),
+        ("D", "brute"): lambda m, n: len(words.brute_enumerate_d(m, n)),
     }.get((args.language, args.method))
     if count is None:
         raise ValueError(f"--method {args.method} applies to --language U only")
@@ -164,7 +159,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import json
 
-    word = _read_word(args.word, args.alphabet)
+    word = args.word if args.alphabet == "ab" else words.from_binary(args.word)
     profile = words.prefix_profile(word, args.m)
     report = {
         "valuation": profile[-1],

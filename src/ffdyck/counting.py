@@ -117,7 +117,7 @@ def _odd_power_from_row(m: int, nu: int, ell: int, row: list[int]) -> int:
 
 
 def count_d(m: int, n: int) -> int:
-    """Number of nonempty D-words of length (2m+3)n (1 for n = 0)."""
+    """Number of D-words of length (2m+3)n (1 for n = 0)."""
     check_args(m, n)
     if n == 0:
         return 1

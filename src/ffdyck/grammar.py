@@ -181,13 +181,13 @@ def generate_u_words(m: int, n: int, cap: int | None = None) -> list[str]:
 
 
 def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
-    """All nonempty D-words of length (2m+3)n via D = L_1 L_1 b + L_2 b, sorted.
+    """All D-words of length (2m+3)n via D = empty + L_1 L_1 b + L_2 b, sorted.
 
-    That rule is the general L_i rule at i = 0, so D-words are a * core_0.
+    At n > 0 that is the general L_i rule at i = 0, so D-words are a * core_0.
     """
     check_args(m, n)
     if n == 0:
-        return []
+        return [""]
     return _Expander(m, brute_cap(cap)).runs(0, period(m) * n, (("a",),), stream=True)
 
 

@@ -197,6 +197,21 @@ def check_brute_counts(level: str) -> None:
         assert got_d == want_d, f"count_d vs brute m={m} n={n}: {want_d} != {got_d}"
 
 
+def check_size_zero(level: str) -> None:
+    # the empty word is the one word of size 0 in U and in D, by every route
+    for m in (1, 2, 3):
+        lists = [grammar.generate_u_words(m, 0), grammar.generate_d_words(m, 0)]
+        lists += [words.brute_enumerate_u(m, 0), words.brute_enumerate_d(m, 0)]
+        assert lists == [[""]] * 4, f"size-0 grammar and brute lists at m={m}: {lists}"
+        counts = [counting.count_u(m, 0), counting.count_d(m, 0)]
+        counts += [counting.count_colored_dyck(m, 0)]
+        counts += [series.u_series(m, 0)[0], series.d_series(m, 0)[0]]
+        assert counts == [1] * 5, f"size-0 counts at m={m}: {counts}, not all 1"
+    leaf = trees.word_to_tree("")
+    assert leaf == trees.LEAF == trees.enumerate_trees(0)[0], f"size-0 tree {leaf!r}"
+    assert trees.tree_to_word(trees.LEAF) == "", "the leaf spells a nonempty word"
+
+
 def check_grammar_vs_brute(level: str) -> None:
     for m, n in _brute_ranges(level):
         gu = grammar.generate_u_words(m, n)
@@ -335,31 +350,6 @@ def check_cross_bifix_codes(level: str) -> None:
                 )
 
 
-CHECKS: list[tuple[str, Callable[[str], None]]] = [
-    ("binomial-pascal", check_binomial_pascal),
-    ("bell-stirling", check_bell_stirling),
-    ("bell-two-argument", check_bell_two_argument),
-    ("bell-convolution", check_bell_convolution),
-    ("three-way-u-counts", check_three_way_u_counts),
-    ("d-counts-vs-series", check_d_counts_vs_series),
-    ("slope52-simplification", check_slope52_simplification),
-    ("catalan-closed-forms", check_catalan_closed_forms),
-    ("l-series-closed-relations", check_l_series_closed_relations),
-    ("l1-factorization", check_l1_factorization),
-    ("u-functional-equation", check_u_functional_equation),
-    ("brute-counts", check_brute_counts),
-    ("grammar-vs-brute", check_grammar_vs_brute),
-    ("unambiguity-counts", check_unambiguity_counts),
-    ("primitive-blocks", check_primitive_blocks),
-    ("u-word-shape", check_u_word_shape),
-    ("lattice-reading", check_lattice_reading),
-    ("tree-roundtrip-words", check_tree_roundtrip_words),
-    ("tree-roundtrip-trees", check_tree_roundtrip_trees),
-    ("tree-counts", check_tree_counts),
-    ("cross-bifix-codes", check_cross_bifix_codes),
-]
-
-
 def run(
     level: str = "quick", emit: Callable[[str], None] = print, fmt: str = "text"
 ) -> bool:
@@ -414,3 +404,11 @@ def run(
     else:
         emit(f"selfcheck {level}: {'FAILURES detected' if failed else 'all checks passed'}")
     return not failed
+
+
+# the module's check_* functions in definition order, named without "check_"
+CHECKS: list[tuple[str, Callable[[str], None]]] = [
+    (name.removeprefix("check_").replace("_", "-"), fn)
+    for name, fn in list(globals().items())
+    if name.startswith("check_") and fn.__module__ == __name__
+]

@@ -68,7 +68,7 @@ _JSON_LEAF = '{"color": "none", "children": []}'
 
 
 class NotInU(ValueError):
-    """The word handed to the encoder is not a nonempty slope-5/2 U-word."""
+    """The word handed to the encoder is not a slope-5/2 U-word."""
 
 
 class MalformedTree(ValueError):
@@ -133,9 +133,6 @@ class ColoredTree:
         return f"ColoredTree({self.canonical()})"
 
     def __reduce__(self) -> tuple:
-        # the leaf spells the empty word, which word_to_tree rejects
-        if not self.children:
-            return ColoredTree, ()
         return word_to_tree, (tree_to_word(self),)
 
     @property
@@ -196,6 +193,8 @@ class ColoredTree:
     @classmethod
     def from_json_text(cls, text: str) -> "ColoredTree":
         """`from_json_obj(json.loads(text))` at any depth; bad JSON raises ValueError."""
+        if not isinstance(text, str):
+            raise ValueError(f"tree JSON must be a str, got {type(text).__name__}")
         return cls.from_json_obj(_parse_json(text))
 
 
@@ -323,13 +322,15 @@ def _render(
 
 def tree_to_word(tree: ColoredTree) -> str:
     """Counterclockwise traversal of the tree, emitting the edge labels."""
+    if not isinstance(tree, ColoredTree):
+        raise MalformedTree(f"expected a tree, got {type(tree).__name__}")
     return _render(tree, "", _WORD_TOKENS)
 
 
 def word_to_tree(word: str) -> ColoredTree:
-    """Parse a nonempty slope-5/2 U-word into its colored tree."""
-    if not word or not is_in_u(word, 2):
-        raise NotInU(f"not a nonempty U-word for slope 5/2: {word!r}")
+    """Parse a slope-5/2 U-word into its colored tree; the empty word is the leaf."""
+    if not is_in_u(word, 2):
+        raise NotInU(f"not a U-word for slope 5/2: {word!r}")
     *runs, last = map(len, word.split("a"))
     stack: list[list[Any]] = []  # open nodes, innermost last: [color, children]
     try:
@@ -402,13 +403,17 @@ def _trees_with_edges(
 def enumerate_trees(n: int, cap: int | None = None) -> list[ColoredTree]:
     """All colored trees with 2n edges, sorted by canonical rendering.
 
-    The table of smaller trees lives for this call only.
+    The count_u(2, k) trees of each level k = 1..n are charged against the
+    brute-force cap before any is built.  The table lives for this call only.
     """
+    from .counting import count_u
+
     check_args(2, n)
-    limit = brute_cap(cap)
-    # 20^k > limit already at k = limit.bit_length(): no need to raise 20 further
-    if 20 ** min(n, limit.bit_length()) > limit:
-        raise CapExceeded(f"tree count near 20^{n} exceeds the brute-force cap")
+    limit = left = brute_cap(cap)
+    for k in range(1, n + 1):
+        left -= count_u(2, k)
+        if left < 0:
+            raise CapExceeded(f"tree enumeration exceeds the brute-force cap {limit}")
     by_edges = {0: (LEAF,)}
     for edges in range(2, 2 * n + 1, 2):
         by_edges[edges] = _trees_with_edges(edges, by_edges)

@@ -245,7 +245,7 @@ def is_in_d(word: str, m: int) -> bool:
     check_args(m)
     check_word(word)
     rise = 2 * m + 1
-    return _is_dyck(word, rise) and (not word or _run_scan(word[:-1], rise) is not None)
+    return _is_dyck(word, rise) and _run_scan(word[:-1], rise) is not None
 
 
 def is_in_u(word: str, m: int) -> bool:
@@ -261,8 +261,9 @@ def is_in_u(word: str, m: int) -> bool:
     One `_run_scan` of the framed word serves every condition.  The framed
     word ends at level 1, so any tie is a proper Dyck factor.  The frame's a
     lifts each prefix of the word by 2m+1, so the band reads "framed levels
-    above 1" and the dip "some framed level below 2m+1".  Without a dip the
-    word would return to 2m+1 over its start, a tie.  Inside the word, a
+    above 1" and the dip "some framed level below 2m+1".  Without a dip a
+    nonempty word would return to 2m+1 over its start, a tie, while the empty
+    word, framed as a b^m, ties nothing and is in U.  Inside the word, a
     framed level 0 ties the start unless a lower level came first, and a
     level 1 ties the frame's last level unless a lower one comes later.  So
     without a tie the band fails iff some level is below 0, and as the frame
@@ -271,8 +272,6 @@ def is_in_u(word: str, m: int) -> bool:
     """
     check_args(m)
     check_word(word)
-    if not word:
-        return True
     rise = 2 * m + 1
     if rise * word.count("a") != 2 * word.count("b"):
         return False
@@ -398,7 +397,7 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
     """
     check_args(m, n)
     if n == 0:
-        return [] if dyck_mode else [""]
+        return [""]
     length = period(m) * n
     n_a, n_b = letter_counts(m, n)
     _check_cap(length, n_a, cap)
@@ -447,5 +446,5 @@ def brute_enumerate_u(m: int, n: int, cap: int | None = None) -> list[str]:
 
 
 def brute_enumerate_d(m: int, n: int, cap: int | None = None) -> list[str]:
-    """All nonempty D-words of length (2m+3)n, sorted, by pruned exhaustive search."""
+    """All D-words of length (2m+3)n, sorted, by pruned exhaustive search."""
     return _brute_enumerate(m, n, dyck_mode=True, cap=cap)

@@ -67,11 +67,11 @@ def test_generate_binary_alphabet(capsys):
     assert out == "00111\n01011\n"
 
 
-@pytest.mark.parametrize("language, want", [("D", ""), ("U", "\n")])
-def test_generate_size_zero(capsys, language, want):
-    # D has no word of size 0 and prints nothing; U has the empty word
+@pytest.mark.parametrize("language", ["D", "U"])
+def test_generate_size_zero(capsys, language):
+    # the empty word is the one word of size 0 in both languages: one empty line
     code, out, _ = run_cli(capsys, "generate", "--m", "2", "--n", "0", "--language", language)
-    assert code == 0 and out == want
+    assert code == 0 and out == "\n"
 
 
 def test_text_only_stdout(monkeypatch):
@@ -156,7 +156,15 @@ def test_tree_decode_round_trip(capsys):
 
 def test_tree_encode_rejects_non_u_word(capsys):
     code, _, err = run_cli(capsys, "tree", "--encode", "aabbbbb")
-    assert code == 2 and "not a nonempty U-word" in err
+    assert code == 2 and "not a U-word" in err
+
+
+def test_tree_round_trips_the_empty_word(capsys):
+    code, encoded, err = run_cli(capsys, "tree", "--encode", "")
+    assert code == 0 and err == ""
+    assert encoded == '{"color": "none", "children": []}\n'
+    code, out, err = run_cli(capsys, "tree", "--decode", encoded.strip())
+    assert code == 0 and err == "" and out == "\n"
 
 
 def test_tree_decode_rejects_bad_tree(capsys):

@@ -92,7 +92,7 @@ def test_generate_d_examples():
 
 def test_generate_empty_cases():
     assert generate_u_words(1, 0) == [""]
-    assert generate_d_words(1, 0) == []
+    assert generate_d_words(1, 0) == [""]
 
 
 def test_unambiguity_as_count_equality():

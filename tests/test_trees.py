@@ -21,7 +21,7 @@ from ffdyck.trees import (
     tree_to_word,
     word_to_tree,
 )
-from ffdyck.words import is_in_u
+from ffdyck.words import CapExceeded, is_in_u
 
 TEN_EDGE_WORD = "abbbbaabbbabbbaababbbabbbbabbbbbabb"
 
@@ -87,6 +87,19 @@ def test_enumerate_trees_sorted_and_distinct():
     assert enumerate_trees(0) == [LEAF]
 
 
+def test_enumeration_charges_the_trees_it_builds(monkeypatch):
+    # n = 3 builds 3 + 19 + 153 = 175 trees on its way to the 153 it returns
+    assert len(enumerate_trees(3, cap=175)) == 153
+    with pytest.raises(CapExceeded, match="exceeds the brute-force cap 174$"):
+        enumerate_trees(3, cap=174)
+    # n = 8 needs 17.8 M trees, past the default cap: refused before any is built
+    built = []
+    monkeypatch.setattr(trees, "_trees_with_edges", lambda *args: built.append(args))
+    with pytest.raises(CapExceeded):
+        enumerate_trees(8)
+    assert built == []
+
+
 def test_tree_invariants_enforced():
     uncolored = r"^outdegree-2 node must be colored blue/red/green, got "
     with pytest.raises(MalformedTree, match=uncolored + "None$"):
@@ -104,12 +117,26 @@ def test_tree_invariants_enforced():
 
 
 def test_encode_rejects_non_u_words():
-    with pytest.raises(NotInU):
-        word_to_tree("")
+    assert word_to_tree("") == LEAF  # the empty word is in U
     with pytest.raises(NotInU):
         word_to_tree("aabbbbb")  # in D, not in U
     with pytest.raises(NotInU):
         word_to_tree("abbab")  # slope 3/2 word
+
+
+@pytest.mark.parametrize(
+    "call, arg, error, message",
+    [
+        (ColoredTree.from_json_text, None, ValueError, "tree JSON must be a str, got NoneType"),
+        (ColoredTree.from_json_text, b"{}", ValueError, "tree JSON must be a str, got bytes"),
+        (tree_to_word, None, MalformedTree, "expected a tree, got NoneType"),
+        (tree_to_word, "x", MalformedTree, "expected a tree, got str"),
+    ],
+    ids=["from_json_text-None", "from_json_text-bytes", "tree_to_word-None", "tree_to_word-str"],
+)
+def test_tree_inputs_follow_the_contract(call, arg, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(arg)
 
 
 def test_json_rendering_round_trip():

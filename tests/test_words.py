@@ -276,7 +276,7 @@ def test_brute_search_equals_grammar_past_the_filter(m, n):
 
 def test_trivial_enumerations():
     assert brute_enumerate_u(1, 0) == [""]
-    assert brute_enumerate_d(1, 0) == []
+    assert brute_enumerate_d(1, 0) == [""]
 
 
 @pytest.mark.parametrize(
