@@ -4,8 +4,9 @@ Subcommands: count, generate, verify, tree, codes, selfcheck.  Output is
 deterministic for identical invocations and all word lists are sorted.  At
 size 0 both languages list the empty word alone, so `count --n 0` prints 1.
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid arguments or a
-non-integer or negative DYCK_BRUTE_CAP, 3 brute force cap exceeded (cap
-configurable via the DYCK_BRUTE_CAP variable), 141 stdout closed before all
+non-integer or negative DYCK_BRUTE_CAP, 3 the brute-force cap exceeded by any
+enumerator (brute search, grammar or trees; cap configurable via the
+DYCK_BRUTE_CAP variable), 141 stdout closed before all
 output was written (`| head`), with nothing on stderr, the status a shell
 gives a process ended by SIGPIPE, under PYTHONUNBUFFERED too.  Values are
 checked by the library's input contract, not here: main turns its ValueError

@@ -25,18 +25,18 @@ Expansion is length-indexed and memoized per call.  A word of L_i and length
 l has valuation i = (2m+3)#a - 2l, so L_i is empty unless i + 2l is a
 multiple of 2m+3: the expander returns at once at every other length, and
 `_Expander.blocks` steps the split point of L_{i+1} L_1 b by 2m+3 from the
-one residue where L_{i+1} can be nonempty.  Each block is charged before it
-is built, at the length of its full words, and joined in one C-level pass,
-`map("".join, product(...))`; sorted cores of one length give a sorted
-product, so one sort merges the runs.  The top rule of U and D is expanded
-two levels deep: a block's first factor that the memo lacks once the
-block's L_1 is fetched (for U, L_3 of the top length less one) serves that
-block only, so the blocks of its own rule are joined straight into the
-output and it is never stored or sorted.  A call holds its memo entries,
-all shorter than the top length, and the output.  Duplicate derivations are
-NOT collapsed: every derivation still yields its own word and no set union
-is taken, so an ambiguity bug would surface as a count mismatch in the
-tests rather than being silently hidden.
+one residue where L_{i+1} can be nonempty.  Each block is charged to a
+`words.Budget` at the length of its full words before it is built, and is
+joined in one C-level pass, `map("".join, product(...))`; sorted cores of
+one length give a sorted product, so one sort merges the runs.  The top rule
+of U and D is expanded two levels deep: a block's first factor that the memo
+lacks once the block's L_1 is fetched (for U, L_3 of the top length less
+one) serves that block only, so the blocks of its own rule are joined
+straight into the output and it is never stored or sorted.  A call holds its
+memo entries, all shorter than the top length, and the output.  Duplicate
+derivations are NOT collapsed: every derivation still yields its own word
+and no set union is taken, so an ambiguity bug would surface as a count
+mismatch in the tests rather than being silently hidden.
 """
 
 from __future__ import annotations
@@ -45,45 +45,24 @@ from collections.abc import Iterator
 from itertools import combinations, product
 from math import comb, prod
 
-from .words import CapExceeded, brute_cap, check_args, check_int, period
+from .words import Budget, check_args, check_int, period
 
 
 class _Expander:
     """Per-call memo table for length-indexed expansion of the L system.
 
-    Expansion work is proportional to the words it materializes, so the
-    brute-force cap is charged against emitted words rather than against the
-    C(length, #a) candidate bound used by the exhaustive searches.  Memory is
-    proportional to their letters, which a second budget of 10 x the cap
-    bounds (at the default cap, `generate --m 2 --n 6` is charged 11.0 M
-    letters).  Each batch of words is charged before it is built, so no memo
-    entry can overshoot either budget.  A length where L_i must be empty, or
-    an index past 2m+1, gets no memo entry and charges nothing; so L_{2m} is
-    a L_1 b by the general rule, the one block (a, L_1) of its splits.
+    Each batch of words is charged to the call's `words.Budget` before it is
+    built (at the default cap, `generate --m 2 --n 6` is charged 11.0 M
+    letters).  A length where L_i must be empty, or an index past 2m+1, gets
+    no memo entry and charges nothing; so L_{2m} is a L_1 b by the general
+    rule, the one block (a, L_1) of its splits.
     """
 
-    def __init__(self, m: int, cap: int):
+    def __init__(self, m: int, cap: int | None):
         self.m = m
         self.per = period(m)
-        self.cap = cap
-        self.words_left = cap
-        self.letters_left = 10 * cap
+        self.budget = Budget("grammar expansion", "words", cap)
         self.memo: dict[tuple[int, int], tuple[str, ...]] = {}
-
-    def charge(self, count: int, length: int) -> None:
-        """Charge `count` words of `length` letters, about to be built."""
-        self.words_left -= count
-        self.letters_left -= count * length
-        if self.words_left < 0:
-            raise CapExceeded(
-                f"grammar expansion needs more than {self.cap} words,"
-                " the brute-force cap"
-            )
-        if self.letters_left < 0:
-            raise CapExceeded(
-                f"grammar expansion needs more than {10 * self.cap} letters,"
-                " 10 x the brute-force cap"
-            )
 
     def tail(self, i: int) -> int:
         """s(i): the b's that end every L_i word, outside its core."""
@@ -98,7 +77,7 @@ class _Expander:
             return ()
         if i == 2 * self.m + 1:
             words = ("",) if length == 1 else ()
-            self.charge(len(words), length)
+            self.budget.charge(len(words), length)
         else:
             # L_i needs L_{i+2} one letter shorter, which needs L_{i+4}, ...:
             # built from the far end, that chain of m steps never nests
@@ -141,7 +120,7 @@ class _Expander:
         for key, rest in self.blocks(i, length):
             if stream and key not in self.memo and key[0] <= 2 * self.m:  # L_{2m+1} = a
                 subs = [[self.l_words(*k), *r] for k, r in self.blocks(*key)]
-                self.charge(sum(prod(map(len, sub)) for sub in subs), key[1])
+                self.budget.charge(sum(prod(map(len, sub)) for sub in subs), key[1])
             else:
                 subs = [[self.l_words(*key)]]
             for sub in subs:
@@ -151,7 +130,7 @@ class _Expander:
                         lists[-1] = (lists[-1][0] + piece[0],)
                     else:
                         lists.append(piece)
-                self.charge(prod(map(len, lists)), length)
+                self.budget.charge(prod(map(len, lists)), length)
                 words += map("".join, product(*lists))
         words.sort()
         return words
@@ -163,7 +142,7 @@ def expand_l_words(m: int, i: int, length: int, cap: int | None = None) -> list[
     check_int("i", i)
     if not 1 <= i <= 2 * m + 1:
         raise ValueError(f"index i must lie in 1..{2 * m + 1}, got {i}")
-    expander = _Expander(m, brute_cap(cap))
+    expander = _Expander(m, cap)
     tail = "b" * expander.tail(i)
     return ["a" + core + tail for core in expander.l_words(i, length)]
 
@@ -177,7 +156,7 @@ def generate_u_words(m: int, n: int, cap: int | None = None) -> list[str]:
     check_args(m, n)
     if n == 0:
         return [""]
-    return _Expander(m, brute_cap(cap)).runs(1, period(m) * n + m + 1, stream=True)
+    return _Expander(m, cap).runs(1, period(m) * n + m + 1, stream=True)
 
 
 def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
@@ -188,7 +167,7 @@ def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
     check_args(m, n)
     if n == 0:
         return [""]
-    return _Expander(m, brute_cap(cap)).runs(0, period(m) * n, (("a",),), stream=True)
+    return _Expander(m, cap).runs(0, period(m) * n, (("a",),), stream=True)
 
 
 def primitive_u_words(m: int, j: int, cap: int | None = None) -> list[str]:
@@ -208,7 +187,7 @@ def primitive_u_words(m: int, j: int, cap: int | None = None) -> list[str]:
     check_int("j", j)
     if not 1 <= j <= m:
         raise ValueError(f"primitive words exist for 1 <= j <= m, got j={j}")
-    _Expander(m, brute_cap(cap)).charge(comb(m + j, m - j), period(m) * j)
+    Budget("building-block construction", "words", cap).charge(comb(m + j, m - j), period(m) * j)
     base = [0] + [m + 1] * (2 * j - 1) + [1]
     slots = m + j  # stars and bars: the m-j extra b's and 2j bars in a row
     words = []

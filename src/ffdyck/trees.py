@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from typing import Any
 
-from .words import CapExceeded, brute_cap, check_args, is_in_u
+from .words import Budget, check_args, is_in_u
 
 COLORS = ("blue", "red", "green")
 
@@ -403,17 +403,15 @@ def _trees_with_edges(
 def enumerate_trees(n: int, cap: int | None = None) -> list[ColoredTree]:
     """All colored trees with 2n edges, sorted by canonical rendering.
 
-    The count_u(2, k) trees of each level k = 1..n are charged against the
-    brute-force cap before any is built.  The table lives for this call only.
+    The count_u(2, k) trees of each level k = 1..n and the 7k letters each
+    spells are charged before any is built.  The table lives for this call only.
     """
     from .counting import count_u
 
     check_args(2, n)
-    limit = left = brute_cap(cap)
+    budget = Budget("tree enumeration", "trees", cap)
     for k in range(1, n + 1):
-        left -= count_u(2, k)
-        if left < 0:
-            raise CapExceeded(f"tree enumeration exceeds the brute-force cap {limit}")
+        budget.charge(count_u(2, k), 7 * k)
     by_edges = {0: (LEAF,)}
     for edges in range(2, 2 * n + 1, 2):
         by_edges[edges] = _trees_with_edges(edges, by_edges)

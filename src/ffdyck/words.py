@@ -43,11 +43,11 @@ BRUTE_CAP_ENV = "DYCK_BRUTE_CAP"
 
 
 class CapExceeded(Exception):
-    """The candidate space of a brute-force search exceeds the configured cap."""
+    """An enumeration needs more than the brute-force cap allows."""
 
 
 def brute_cap(override: int | None = None) -> int:
-    """Active brute-force candidate cap (override arg, else env var, else default).
+    """Active brute-force cap (override arg, else env var, else default).
 
     A negative cap is rejected with a ValueError naming where it came from.
     """
@@ -68,9 +68,37 @@ def brute_cap(override: int | None = None) -> int:
     return cap
 
 
+class Budget:
+    """The brute-force cap of one call: the cap in items, 10 x the cap in letters.
+
+    Every enumerator charges what it is about to make: a search its
+    candidates, with no letters, as it never builds them; a builder its
+    items and the letters they spell.  The items bound the time and the
+    letters the memory.  `charge` is the one place that raises CapExceeded.
+    """
+
+    def __init__(self, caller: str, items: str, cap: int | None):
+        self.caller, self.items = caller, items
+        self.cap = self.items_left = brute_cap(cap)
+        self.letters_left = 10 * self.cap
+
+    def charge(self, count: int, length: int) -> None:
+        """Charge `count` items of `length` letters; name the budget that runs out."""
+        self.items_left -= count
+        self.letters_left -= count * length
+        if self.items_left < 0 or self.letters_left < 0:
+            # the count itself is not printed: past about 4300 digits str() refuses it
+            spent = (
+                f"{self.cap} {self.items}, the"
+                if self.items_left < 0
+                else f"{10 * self.cap} letters, 10 x the"
+            )
+            raise CapExceeded(f"{self.caller} needs more than {spent} brute-force cap")
+
+
 def check_int(name: str, value: int) -> None:
-    """The input contract's type rule for an integer argument: it is an int."""
-    if not isinstance(value, int):
+    """The input contract's type rule for an integer argument: an int, not a bool."""
+    if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {type(value).__name__}")
 
 
@@ -344,22 +372,6 @@ def letter_counts(m: int, n: int) -> tuple[int, int]:
     return 2 * n, (2 * m + 1) * n
 
 
-def _check_cap(length: int, n_a: int, cap: int | None) -> None:
-    # the count itself is not printed: past about 4300 digits str() refuses it
-    limit = brute_cap(cap)
-    # C(length - n_a + i, i) never decreases in i and ends at C(length, n_a),
-    # so stop at the first value past the cap instead of computing it in full
-    count = 1
-    for i in range(1, n_a + 1):
-        if count > limit:
-            break
-        count = count * (length - n_a + i) // i
-    if count > limit:
-        raise CapExceeded(
-            f"C({length},{n_a}) candidates exceed the brute-force cap {limit}"
-        )
-
-
 def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[str]:
     """Depth-first search over {a,b} words of length (2m+3)n, one frame per a.
 
@@ -400,7 +412,15 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
         return [""]
     length = period(m) * n
     n_a, n_b = letter_counts(m, n)
-    _check_cap(length, n_a, cap)
+    budget = Budget("brute search", "candidates", cap)
+    # charge C(length, n_a) candidates, no letters: C(length - n_a + i, i)
+    # never decreases in i, so stop at the first value past the cap
+    count = 1
+    for i in range(1, n_a + 1):
+        if count > budget.cap:
+            break
+        count = count * (length - n_a + i) // i
+    budget.charge(count, 0)
     rise = 2 * m + 1
     floor = 0 if dyck_mode else 1 - 2 * m
     tail_floor = 2 if dyck_mode else -2 * m

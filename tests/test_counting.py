@@ -194,6 +194,8 @@ def test_counts_past_enumerable_sizes():
         pytest.param(u_odd_power_coeff, (2, 1, 0.5), "ell must be an int, got float", id="odd_power-ell-float"),
         pytest.param(l_series, (2, 1.5, 3), "i must be an int, got float", id="l_series-i-float"),
         pytest.param(brute_cap, (1.5,), "cap must be an int, got float", id="brute_cap-float"),
+        pytest.param(count_u, (True, 3), "m must be an int, got bool", id="count_u-m-bool"),
+        pytest.param(brute_cap, (True,), "cap must be an int, got bool", id="brute_cap-bool"),
         pytest.param(letter_counts, (1.0, 2), "m must be an int, got float", id="letter_counts-m-float"),
     ],
 )

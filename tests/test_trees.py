@@ -88,15 +88,20 @@ def test_enumerate_trees_sorted_and_distinct():
 
 
 def test_enumeration_charges_the_trees_it_builds(monkeypatch):
-    # n = 3 builds 3 + 19 + 153 = 175 trees on its way to the 153 it returns
-    assert len(enumerate_trees(3, cap=175)) == 153
-    with pytest.raises(CapExceeded, match="exceeds the brute-force cap 174$"):
-        enumerate_trees(3, cap=174)
-    # n = 8 needs 17.8 M trees, past the default cap: refused before any is built
+    # n = 3 builds 3 + 19 + 153 = 175 trees on its way to the 153 it returns,
+    # and they spell 3 * 7 + 19 * 14 + 153 * 21 = 3500 letters: the letter
+    # budget of 10 x the cap binds first
+    assert len(enumerate_trees(3, cap=350)) == 153
+    with pytest.raises(CapExceeded, match="more than 3490 letters, 10 x the brute-force cap$"):
+        enumerate_trees(3, cap=349)
+    # n = 8 needs 17.8 M trees, past the default cap, and 982.6 M letters,
+    # past 10 x a cap of 2 * 10**7: refused before any level is built
     built = []
     monkeypatch.setattr(trees, "_trees_with_edges", lambda *args: built.append(args))
-    with pytest.raises(CapExceeded):
-        enumerate_trees(8)
+    with pytest.raises(CapExceeded, match="more than 10000000 trees,"):
+        enumerate_trees(8, cap=10**7)
+    with pytest.raises(CapExceeded, match="more than 200000000 letters,"):
+        enumerate_trees(8, cap=2 * 10**7)
     assert built == []
 
 

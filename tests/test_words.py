@@ -1,13 +1,17 @@
 """Word predicates, profiles, and the brute-force enumerators."""
 
+import ast
+import inspect
 import itertools
 import random
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
 from ffdyck import selfcheck, words
-from ffdyck.grammar import generate_d_words, generate_u_words, primitive_u_words
+from ffdyck.grammar import expand_l_words, generate_d_words, generate_u_words, primitive_u_words
 from ffdyck.trees import enumerate_trees
 from ffdyck.words import (
     CapExceeded,
@@ -326,6 +330,9 @@ def test_predicates_reject_zero_slope(predicate, word, m, message):
         (0, "1", "m must be >= 1"),
         (1, "1", "n must be an int, got str"),
         (1, -1, "n must be >= 0"),
+        # bool is an int subclass, but no slope or size
+        (True, 3, "m must be an int, got bool"),
+        (1, False, "n must be an int, got bool"),
     ],
 )
 def test_check_args_order(m, n, message):
@@ -357,6 +364,37 @@ def test_cap_check_costs_less_than_the_search():
     with pytest.raises(CapExceeded):
         enumerate_trees(10**7)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "enumerate_, args, message",
+    [
+        (brute_enumerate_u, (1, 10, 1000), "brute search needs more than 1000 candidates, the"),
+        (brute_enumerate_d, (1, 10, 1000), "brute search needs more than 1000 candidates, the"),
+        (generate_u_words, (1, 12, 10), "grammar expansion needs more than 10 words, the"),
+        (expand_l_words, (1, 1, 62, 100), "grammar expansion needs more than 1000 letters, 10 x the"),
+        (primitive_u_words, (40, 20), "building-block construction needs more than 10000000 words, the"),
+        (enumerate_trees, (3, 349), "tree enumeration needs more than 3490 letters, 10 x the"),
+    ],
+)
+def test_cap_exceeded_names_the_enumerator_and_its_budget(monkeypatch, enumerate_, args, message):
+    monkeypatch.delenv(words.BRUTE_CAP_ENV, raising=False)
+    with pytest.raises(CapExceeded, match=f"^{message} brute-force cap$"):
+        enumerate_(*args)
+
+
+def test_only_the_budget_raises_cap_exceeded():
+    # one rule for every enumerator: the next one charges a Budget too
+    def cap_raises(tree):
+        return sum(
+            isinstance(node, ast.Raise) and "CapExceeded" in ast.unparse(node)
+            for node in ast.walk(tree)
+        )
+
+    package = Path(words.__file__).parent
+    total = sum(cap_raises(ast.parse(path.read_text())) for path in package.glob("*.py"))
+    charge = ast.parse(textwrap.dedent(inspect.getsource(words.Budget.charge)))
+    assert total == cap_raises(charge) == 1
 
 
 def test_cap_env_override(monkeypatch):
