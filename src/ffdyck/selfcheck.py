@@ -287,6 +287,15 @@ def check_u_word_shape(level: str) -> None:
             assert words.is_factor_free(w, m), f"U word with a Dyck factor: {w}"
 
 
+def check_d_word_shape(level: str) -> None:
+    for m, n in _brute_ranges(level):
+        for w in words.brute_enumerate_d(m, n):
+            prof = words.prefix_profile(w, m)
+            assert prof[-1] == 0, f"D word with nonzero valuation: {w}"
+            assert min(prof) == 0, f"D word with a negative prefix: {w}"
+            assert words.is_factor_free(w, m), f"D word with a Dyck factor: {w}"
+
+
 def check_lattice_reading(level: str) -> None:
     for m in (1, 2):
         top = 2 * m + 10 if level == "full" else 2 * m + 5

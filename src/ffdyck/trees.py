@@ -31,9 +31,10 @@ at n = 4, deep chains of each node kind and seeded words with n = 100 to 300
 pin the reading down, and every other word of up to 14 letters must fail the
 replay.
 
-The JSON text is written by the same walk and read by `json.loads` in
-pieces of bounded depth (`_parse_json`), so it too works at any depth; the
-dict form is that text read back.
+The JSON text is written by the same walk and read by one `json.loads`, or,
+past the depth that allows, by `json.loads` in pieces of bounded depth
+(`_parse_json`), so it too works at any depth; the dict form is that text
+read back.
 """
 
 from __future__ import annotations
@@ -242,6 +243,21 @@ _JSON_BRACKETS = re.compile(
 
 def _parse_json(text: str) -> Any:
     """The value of one JSON text, as `json.loads` reads it, at any depth.
+
+    One `json.loads` reads any text that nests less deep than the recursion
+    limit allows.  A text too deep for it, or one it rejects, goes to
+    `_parse_json_pieces`, so every fault is reported by that one reader.
+    """
+    import json
+
+    try:
+        return json.loads(text)
+    except (RecursionError, json.JSONDecodeError):
+        return _parse_json_pieces(text)
+
+
+def _parse_json_pieces(text: str) -> Any:
+    """`_parse_json` by a bracket scan that hands `json.loads` bounded depths.
 
     The scan tracks the bracket depth only.  A container that opens at a
     positive depth that is a multiple of _CUT is read by `json.loads` on its

@@ -26,7 +26,8 @@ a descent can tie, so the scan loops #a + 1 times, not once per letter.  The
 brute-force search keeps the same two lists of visible levels, one frame per
 letter a: a frame branches on the length of the b-run before its next a,
 bounds that length in O(1), and places the last a inline, so the all-b tail
-needs no frame of its own.
+needs no frame of its own.  The last frame decides each word it completes in
+O(1) from its two lists (`_last_frame_ok`), with no scan of the word.
 
 Words are plain Python strings over the alphabet "ab"; an alternate binary
 rendering maps a <-> 0, b <-> 1.  All word lists are sorted with a < b.
@@ -372,6 +373,37 @@ def letter_counts(m: int, n: int) -> tuple[int, int]:
     return 2 * n, (2 * m + 1) * n
 
 
+def _last_frame_ok(
+    low: int, same: list[int], other: list[int], j: int, floor: int, tail_floor: int
+) -> bool:
+    """Membership of a word that the last frame of `_brute_enumerate` completes.
+
+    The frame's prefix ties nothing and stays in the band; the word goes on
+    with a b-run down to `low`, the last a and the all-b tail.  `same` and
+    `other` are the frame's visible levels below its top, of the top's parity
+    and of the other, and `other[:j]` are the levels of `other` below `low`,
+    which the run leaves visible.  The word is a member iff
+
+    - the run stays in the band: `low` >= `floor`, which is 0 in D and 1 - 2m
+      in U (the tail ends on 0, above both);
+    - the run ties nothing: it lands on every level of the top's parity down
+      to `low`, so it ties the top of `same` if that is `low` or higher;
+    - the tail ties nothing: from `low` + 2m+1 it lands on every level of the
+      other parity down to `tail_floor`, which is 2 in D (the step onto 0
+      closes the whole word) and -2m in U (the frame's b^m goes on), so it
+      ties the top of `other[:j]` if that is `tail_floor` or higher;
+    - in U, some prefix dips below 0: the start level 0 stays visible in
+      `other` until one does, and the tail passes 0, so this is a tail tie.
+
+    So each candidate costs O(1): no letter is scanned and no list copied.
+    """
+    return (
+        low >= floor
+        and not (same and same[-1] >= low)
+        and not (j and other[j - 1] >= tail_floor)
+    )
+
+
 def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[str]:
     """Depth-first search over {a,b} words of length (2m+3)n, one frame per a.
 
@@ -404,8 +436,12 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
       visible until some prefix dips below 0, so the same bound demands that
       dip.
 
-    The recursion is at most 2n deep.  Every surviving candidate is
-    re-checked with the full membership predicate before being emitted.
+    The recursion is at most 2n deep.  The search omits U's frame a and its
+    start level -(2m+1): it lies below the band, so no in-band level ties it.
+    Each candidate of the last frame is decided by `_last_frame_ok`, which
+    tests every membership condition on the letters that frame leaves open and
+    trusts none of the bounds above; the full predicates `is_in_u`/`is_in_d`
+    are not called, and the tests check them on every word emitted.
     """
     check_args(m, n)
     if n == 0:
@@ -424,7 +460,6 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
     rise = 2 * m + 1
     floor = 0 if dyck_mode else 1 - 2 * m
     tail_floor = 2 if dyck_mode else -2 * m
-    accept = is_in_d if dyck_mode else is_in_u
 
     out: list[str] = []
     b_runs = ["b" * k for k in range(n_b + 1)]
@@ -448,13 +483,11 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
             # buried pair (low - 1, low)
             if j and other[j - 1] == low - 1 and not (dyck_mode and low == 1):
                 continue
-            if rem_a == 1:
-                word = prefix + b_runs[r] + "a" + b_runs[rem_b - r]
-                if accept(word, m):
-                    out.append(word)
-            else:
+            if rem_a > 1:
                 kept = other[:j]
                 walk(prefix + b_runs[r] + "a", low + rise, kept, same + [low], rem_a - 1, rem_b - r)
+            elif _last_frame_ok(low, same, other, j, floor, tail_floor):
+                out.append(prefix + b_runs[r] + "a" + b_runs[rem_b - r])
 
     walk("", 0, [], [], n_a, n_b)
     return sorted(out)

@@ -346,20 +346,25 @@ READER_JSON = [
 @pytest.mark.parametrize("depth", [0, 99, 100, 101, 201])
 @pytest.mark.parametrize("open_, close", [("[", "]"), ('{"k": ', "}")], ids=["list", "dict"])
 def test_reader_matches_json_loads(monkeypatch, cut, depth, open_, close):
-    # json.loads itself reads each of these texts: they nest at most 202 deep
+    # json.loads itself reads each of these texts: they nest at most 202 deep,
+    # so `_parse_json` reads the good ones in one call and the piecewise
+    # reader, called by name, is driven at every cut
     monkeypatch.setattr(trees, "_CUT", cut)
     for bare in GOOD_JSON + BAD_JSON + READER_JSON:
         text = open_ * depth + bare + close * depth
-        try:
-            want = repr(json.loads(text))
-        except ValueError:
-            with pytest.raises(ValueError, match="^invalid JSON: "):
-                trees._parse_json(text)
-        else:
-            assert repr(trees._parse_json(text)) == want, bare
+        for parse in (trees._parse_json, trees._parse_json_pieces):
+            try:
+                want = repr(json.loads(text))
+            except ValueError:
+                with pytest.raises(ValueError, match="^invalid JSON: "):
+                    parse(text)
+            else:
+                assert repr(parse(text)) == want, bare
 
 
 def test_reader_is_deep_and_linear():
+    # far past the recursion limit, and unterminated: json.loads gives both
+    # texts up, so the piecewise reader reads them
     value = trees._parse_json("[" * 100_000 + "]" * 100_000)
     depth = 1
     while value:

@@ -237,20 +237,69 @@ def test_brute_enumerators_match_naive_filter():
     "m, n", sorted({*selfcheck.BRUTE_RANGES_FULL, (1, 5), (1, 6), (2, 4), (3, 3), (4, 2)})
 )
 def test_brute_search_rechecks_only_members(monkeypatch, m, n):
-    # the prunes are exact: the membership re-check rejects no candidate, over
-    # the selfcheck brute ranges, the bench's brute sizes, and the narrowest
-    # and the widest U band, (1, 5) and (4, 2)
-    rechecked = []
-    for name in ("is_in_u", "is_in_d"):
+    # the prunes are exact: the final test rejects no candidate, over the
+    # selfcheck brute ranges, the bench's brute sizes, and the narrowest and
+    # the widest U band, (1, 5) and (4, 2); the full predicates, which the
+    # search does not call, accept every word it emits
+    verdicts = []
 
-        def spy(word, slope, predicate=getattr(words, name)):
-            rechecked.append(word)
-            return predicate(word, slope)
+    def spy(*frame, last_frame_ok=words._last_frame_ok):
+        verdicts.append(last_frame_ok(*frame))
+        return verdicts[-1]
 
-        monkeypatch.setattr(words, name, spy)
+    monkeypatch.setattr(words, "_last_frame_ok", spy)
     # C(30, 12) candidates at (1, 6) are past the default cap
-    found = brute_enumerate_u(m, n, cap=10**8) + brute_enumerate_d(m, n, cap=10**8)
-    assert len(rechecked) == len(found)
+    found_u = brute_enumerate_u(m, n, cap=10**8)
+    found_d = brute_enumerate_d(m, n, cap=10**8)
+    assert verdicts == [True] * (len(found_u) + len(found_d))
+    assert all(is_in_u(w, m) for w in found_u)
+    assert all(is_in_d(w, m) for w in found_d)
+
+
+def frames_reached(m, n, floor):
+    """Every prefix ending in an a, with 2n - 1 letters a and at most
+    (2m+1)n letters b, that ties nothing and stays at or above `floor`.
+
+    Yields the prefix with its frame: top level, `same` and `other`.  Both
+    properties hold for a prefix of each such prefix, so the walk stops at the
+    first one that fails.
+    """
+    rise = 2 * m + 1
+    n_a, n_b = words.letter_counts(m, n)
+    todo = [""]
+    while todo:
+        prefix = todo.pop()
+        for r in range(n_b - prefix.count("b") + 1):
+            longer = prefix + "b" * r + "a"
+            stacks = words._run_scan(longer, rise)
+            if stacks is None or min(prefix_profile(longer, m)) < floor:
+                continue
+            if longer.count("a") < n_a - 1:
+                todo.append(longer)
+            else:
+                top = rise * longer.count("a") - 2 * longer.count("b")
+                yield longer, top, stacks[top & 1][:-1], stacks[1 - (top & 1)]
+
+
+def test_last_frame_test_equals_the_full_predicate():
+    # every word whose prefix before its last b-run and a reaches a frame,
+    # at (1, <=4), (2, <=3) and (3, <=2), in both languages
+    sizes = [(1, n) for n in range(1, 5)] + [(2, n) for n in range(1, 4)]
+    sizes += [(3, 1), (3, 2)]
+    seen = set()
+    for m, n in sizes:
+        n_b = words.letter_counts(m, n)[1]
+        for is_in, floor, tail_floor in ((is_in_d, 0, 2), (is_in_u, 1 - 2 * m, -2 * m)):
+            for prefix, top, same, other in frames_reached(m, n, floor):
+                rem_b = n_b - prefix.count("b")
+                for r in range(rem_b + 1):
+                    low = top - 2 * r
+                    j = words.bisect(other, low)
+                    word = prefix + "b" * r + "a" + "b" * (rem_b - r)
+                    got = words._last_frame_ok(low, same, other, j, floor, tail_floor)
+                    assert got == is_in(word, m), (is_in.__name__, m, word)
+                    seen.add(got)
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("m, n, frames", [(2, 3, 348), (1, 5, 252)])
