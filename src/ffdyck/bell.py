@@ -14,9 +14,13 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .words import check_int
+
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), zero for k < 0 or k > n."""
+    check_int("n", n)
+    check_int("k", k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -48,6 +52,8 @@ def bell_table(n: int, xs: Sequence[int]) -> list[list[int]]:
 
 def bell_partial(n: int, k: int, xs: Sequence[int]) -> int:
     """Partial Bell polynomial B_{n,k}(x_1, x_2, ...), zero unless 0 <= k <= n."""
+    check_int("n", n)
+    check_int("k", k)
     if not 0 <= k <= n:
         return 0
     return bell_table(n, xs)[n][k]

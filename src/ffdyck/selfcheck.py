@@ -20,15 +20,6 @@ BRUTE_RANGES_FULL = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3,
 BRUTE_RANGES_QUICK = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
 
 
-def _stirling2(n: int, k: int) -> int:
-    """Stirling numbers of the second kind by their own recurrence."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
 def check_binomial_pascal(level: str) -> None:
     top = 64 if level == "full" else 16
     for n in range(1, top + 1):
@@ -42,11 +33,15 @@ def check_binomial_pascal(level: str) -> None:
 def check_bell_stirling(level: str) -> None:
     top = 12 if level == "full" else 8
     ones = [1] * top
+    # Stirling numbers of the second kind, row by row, by their own recurrence
+    # S(n, k) = k S(n-1, k) + S(n-1, k-1)
+    stirling = [1]
     for n in range(top + 1):
         for k in range(n + 1):
             got = bell_partial(n, k, ones)
-            want = _stirling2(n, k)
+            want = stirling[k]
             assert got == want, f"B({n},{k})(1,1,...) = {got} != S({n},{k}) = {want}"
+        stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, n + 1)] + [1]
 
 
 def check_bell_two_argument(level: str) -> None:

@@ -22,12 +22,14 @@ exactly 2n letters a and (2m+1)n letters b at length (2m+3)n.
 
 Membership rests on one linear scan (`_run_scan`) that finds a Dyck factor
 as a tie between prefix levels, reading the word one b-run at a time: only
-a descent can tie, so the scan loops #a + 1 times, not once per letter.  The
-brute-force search keeps the same two lists of visible levels, one frame per
-letter a: a frame branches on the length of the b-run before its next a,
-bounds that length in O(1), and places the last a inline, so the all-b tail
-needs no frame of its own.  The last frame decides each word it completes in
-O(1) from its two lists (`_last_frame_ok`), with no scan of the word.
+a descent can tie, so the scan loops #a + 1 times, not once per letter.  It
+keeps the visible levels in one increasing stack.  The brute-force search
+keeps the same visible levels split by parity, one frame per letter a, since
+its run bounds read each parity's top in O(1): a frame branches on the
+length of the b-run before its next a, bounds that length in O(1), and
+places the last a inline, so the all-b tail needs no frame of its own.  The
+last frame decides each word it completes in O(1) from its two lists
+(`_last_frame_ok`), with no scan of the word.
 
 Words are plain Python strings over the alphabet "ab"; an alternate binary
 rendering maps a <-> 0, b <-> 1.  All word lists are sorted with a < b.
@@ -197,46 +199,38 @@ def _is_dyck(word: str, rise: int) -> bool:
     return h == 0
 
 
-def _run_scan(word: str, rise: int) -> tuple[list[int], list[int]] | None:
+def _run_scan(word: str, rise: int) -> list[int] | None:
     """Scan the prefix levels of a word for a Dyck factor, one b-run at a time.
 
     The factor word[i:j] is Dyck exactly when the levels at i and j are equal
     and no level in between drops below them.  A level stays visible while no
     later prefix has dropped below it; a prefix level equal to a visible one
     (a tie) closes a Dyck factor.  Returns None at the first tie, else the
-    visible levels at the end, split by parity into increasing lists (evens,
-    odds); the start level 0 counts as visible from the outset.
+    visible levels at the end in one increasing list; the start level 0
+    counts as visible from the outset.
 
     - An a only climbs, above every visible level, so only a b-run can tie.
     - A run of k b's from the top level h lands on h-2, ..., h-2k, all of
-      h's parity.  Going down it ties the highest visible level of that
-      parity in the range, which is the top of that parity's list (h itself
-      is never stored: its first b hides it), so the check is O(1).
-    - Without a tie, the run hides every visible level above h-2k: the other
-      parity's list loses its tail past a `bisect`, and h-2k tops its own
-      (every level left in it lies below h-2k, or there was a tie).
+      h's parity, and hides every visible level above h-2k (h itself is
+      never stored: its first b hides it).  So it pops every visible level
+      >= h-2k: one of h's parity is a level it lands on, a tie, and one of
+      the other parity is only hidden.  Then h-2k tops the list.
+    - The list starts on a sentinel below every reachable level, so the pops
+      need no emptiness test; each level is pushed once and popped at most
+      once (the all-nearest-smaller-values stack).
 
     So the loop runs once per b-run, #a + 1 times (2n + 1 for a word of
     length (2m+3)n with 2n letters a), not once per letter.
     """
-    stacks: tuple[list[int], list[int]] = ([], [])
-    same, other = stacks[1], stacks[0]
+    stack = [-2 * len(word) - 2]
     h = -rise
     for run in word.split("a"):
-        h += rise
-        same, other = other, same  # rise is odd: each a flips the parity
-        if run:
-            h -= 2 * len(run)
-            if same and same[-1] >= h:
+        h += rise - 2 * len(run)
+        while stack[-1] >= h:
+            if not (stack.pop() - h) & 1:
                 return None
-            del other[bisect(other, h) :]
-        same.append(h)
-    return stacks
-
-
-def _lowest(stacks: tuple[list[int], list[int]]) -> int:
-    """Lowest visible level, which is the lowest level the scan reached."""
-    return min(stacks[0][:1] + stacks[1][:1])
+        stack.append(h)
+    return stack[1:]
 
 
 def is_factor_free(word: str, m: int) -> bool:
@@ -245,21 +239,22 @@ def is_factor_free(word: str, m: int) -> bool:
     Every Dyck factor shows up in `_run_scan` as a tie.  The single tie
     allowed is the whole word (start 0, end len(word)), so the scan stops one
     letter short and the last letter is tested here: an a ties nothing, and a
-    b lands on the total valuation v from v+2, the top of v's parity list,
-    tying the visible level below that top if it equals v.  That tie is the
-    whole word exactly when the word is Dyck, i.e. v is 0 and no level went
-    below 0.
+    b lands on the total valuation v from v+2, the top of the visible levels,
+    tying v if it is visible.  Between that top and v at most v+1 is visible,
+    so v can only sit one or two places below the top.  That tie is the whole
+    word exactly when the word is Dyck, i.e. v is 0 and no level went below
+    0, which makes the start 0 the lowest visible level.
     """
     check_args(m)
     check_word(word)
     rise = 2 * m + 1
-    stacks = _run_scan(word[:-1], rise)
-    if stacks is None:
+    stack = _run_scan(word[:-1], rise)
+    if stack is None:
         return False
     if not word.endswith("b"):
         return True
     v = rise * word.count("a") - 2 * word.count("b")
-    return stacks[v & 1][-2:-1] != [v] or (v == 0 and _lowest(stacks) == 0)
+    return v not in stack[-3:-1] or (v == 0 and stack[0] == 0)
 
 
 def is_in_d(word: str, m: int) -> bool:
@@ -297,15 +292,15 @@ def is_in_u(word: str, m: int) -> bool:
     level 1 ties the frame's last level unless a lower one comes later.  So
     without a tie the band fails iff some level is below 0, and as the frame
     ends at 1 that level stays visible: the band holds iff the lowest visible
-    level is the start 0.
+    level, the first in the scan's list, is the start 0.
     """
     check_args(m)
     check_word(word)
     rise = 2 * m + 1
     if rise * word.count("a") != 2 * word.count("b"):
         return False
-    stacks = _run_scan("a" + word + "b" * m, rise)
-    return stacks is not None and _lowest(stacks) == 0
+    stack = _run_scan("a" + word + "b" * m, rise)
+    return stack is not None and stack[0] == 0
 
 
 def is_in_u_lattice(word: str, m: int) -> bool:
@@ -408,17 +403,18 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
     """Depth-first search over {a,b} words of length (2m+3)n, one frame per a.
 
     A frame stands at the top level after an a (or at the start) and holds
-    `_run_scan`'s visible levels below it, split into increasing lists:
-    `same` of the top's parity and `other` of the other parity.  It branches
-    on the length r of the b-run that follows, then on the next a, so the
-    search makes one frame per a, not one per letter.  Three bounds cut the
-    run; none cuts a prefix that some member extends:
+    the visible levels below it that `_run_scan` would keep on its stack,
+    split by parity into increasing lists, `same` of the top's parity and
+    `other` of the other parity, so that each parity's top reads in O(1).
+    It branches on the length r of the b-run that follows, then on the next
+    a, so the search makes one frame per a, not one per letter.  Three
+    bounds cut the run; none cuts a prefix that some member extends:
 
     - The run stays in the band (>= 0 in Dyck mode, > -2m in U mode) and
       closes no Dyck factor: it descends through every level of the top's
       parity, so it first ties the top of `same`.  Both bounds, and the b's
       left, cap r in O(1).  The run hides the levels of `other` above it
-      and tops `same` with the level it lands on, as in `_run_scan`.
+      and tops `same` with the level it lands on.
     - Buried pair.  A descent moves down by 2, so a path that falls below
       adjacent visible levels v, v+1 first lands on one of them, a tie.
       Every word falls below both before it ends (to 0 in D, to -2m with the

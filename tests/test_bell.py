@@ -43,6 +43,8 @@ def test_bell_edge_rows():
         assert bell_partial(n, 0, (1, 1, 1, 1, 1)) == 0
     for k in range(1, 6):
         assert bell_partial(0, k, (1, 1, 1, 1, 1)) == 0
+    # outside 0 <= k <= n the documented value is 0, for a negative n too
+    assert bell_partial(2, -1, (1, 1)) == bell_partial(-1, 0, ()) == 0
 
 
 def test_bell_single_block_and_diagonal():

@@ -197,6 +197,11 @@ def test_counts_past_enumerable_sizes():
         pytest.param(count_u, (True, 3), "m must be an int, got bool", id="count_u-m-bool"),
         pytest.param(brute_cap, (True,), "cap must be an int, got bool", id="brute_cap-bool"),
         pytest.param(letter_counts, (1.0, 2), "m must be an int, got float", id="letter_counts-m-float"),
+        pytest.param(bell.bell_partial, (2.5, 1, [1, 1, 1]), "n must be an int, got float", id="bell_partial-n-float"),
+        pytest.param(bell.bell_partial, (True, 1, [1]), "n must be an int, got bool", id="bell_partial-n-bool"),
+        pytest.param(bell.bell_partial, (3, 1.0, [1]), "k must be an int, got float", id="bell_partial-k-float"),
+        pytest.param(bell.binomial, (5, 2.0), "k must be an int, got float", id="binomial-k-float"),
+        pytest.param(bell.binomial, ("5", 2), "n must be an int, got str", id="binomial-n-str"),
     ],
 )
 def test_invalid_input_rejected(counter, args, message):

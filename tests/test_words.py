@@ -134,6 +134,40 @@ def test_factor_free_against_naive_scan(spliced_u_word):
         assert is_in_d(w, m) == (is_dyck(w, m) and factor_free), (m, len(w))
 
 
+def test_run_scan_keeps_the_reference_stack(spliced_u_word):
+    # `_run_scan` returns None exactly where the letter-at-a-time reference
+    # ties, else the reference's final stack levels in increasing order: on
+    # every word of up to 14 letters (m = 1, 2) and 12 letters (m = 3), walked
+    # as a tree of prefixes that share the reference's linked stack, and on
+    # the long words
+    def levels(stack):
+        found = []
+        while stack is not None:
+            found.append(stack[0])
+            stack = stack[2]
+        return found[::-1]
+
+    def check(word, m, stack, tied):
+        want = None if tied else levels(stack)
+        assert words._run_scan(word, 2 * m + 1) == want, (m, word)
+
+    for m, top in ((1, 14), (2, 14), (3, 12)):
+        todo = [("", 0, dyck_factor_start(None, 0, 0)[0], False)]
+        while todo:
+            word, h, stack, tied = todo.pop()
+            check(word, m, stack, tied)
+            if len(word) < top:
+                for letter, step in (("a", 2 * m + 1), ("b", -2)):
+                    longer, start = dyck_factor_start(stack, h + step, len(word) + 1)
+                    todo.append((word + letter, h + step, longer, tied or start is not None))
+    for m, w, _, _ in long_words(spliced_u_word):
+        stack, tied = None, False
+        for j, h in enumerate(prefix_profile(w, m)):
+            stack, start = dyck_factor_start(stack, h, j)
+            tied = tied or start is not None
+        check(w, m, stack, tied)
+
+
 def test_is_in_d():
     assert is_in_d("aabbb", 1)
     assert is_in_d("ababb", 1)
@@ -260,9 +294,10 @@ def frames_reached(m, n, floor):
     """Every prefix ending in an a, with 2n - 1 letters a and at most
     (2m+1)n letters b, that ties nothing and stays at or above `floor`.
 
-    Yields the prefix with its frame: top level, `same` and `other`.  Both
-    properties hold for a prefix of each such prefix, so the walk stops at the
-    first one that fails.
+    Yields the prefix with its frame: top level, `same` and `other`, the
+    scan's visible levels below the top split by parity.  Both properties hold
+    for a prefix of each such prefix, so the walk stops at the first one that
+    fails.
     """
     rise = 2 * m + 1
     n_a, n_b = words.letter_counts(m, n)
@@ -271,14 +306,15 @@ def frames_reached(m, n, floor):
         prefix = todo.pop()
         for r in range(n_b - prefix.count("b") + 1):
             longer = prefix + "b" * r + "a"
-            stacks = words._run_scan(longer, rise)
-            if stacks is None or min(prefix_profile(longer, m)) < floor:
+            stack = words._run_scan(longer, rise)
+            if stack is None or min(prefix_profile(longer, m)) < floor:
                 continue
             if longer.count("a") < n_a - 1:
                 todo.append(longer)
             else:
-                top = rise * longer.count("a") - 2 * longer.count("b")
-                yield longer, top, stacks[top & 1][:-1], stacks[1 - (top & 1)]
+                top = stack.pop()
+                same = [v for v in stack if not (v - top) & 1]
+                yield longer, top, same, [v for v in stack if (v - top) & 1]
 
 
 def test_last_frame_test_equals_the_full_predicate():
