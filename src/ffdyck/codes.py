@@ -86,7 +86,10 @@ def verify_cross_bifix_free(
     One dict maps each nonempty proper prefix to the least word that has it,
     so the first violation is the least (least[w2[-k:]], w2, k) over the
     suffixes w2[-k:] that are keys, found in one pass with no ordered re-scan.
+    Anything but a list or tuple of str raises ValueError.
     """
+    if not isinstance(ws, (list, tuple)) or not set(map(type, ws)) <= {str}:
+        raise ValueError("ws must be a list or tuple of str words")
     ordered = sorted(set(ws))
     least = {w[:k]: w for w in reversed(ordered) for k in range(1, len(w))}
     triples = [

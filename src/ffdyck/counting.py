@@ -2,8 +2,9 @@
 
 u_odd_power_coeff evaluates the partial-Bell-polynomial formula for the
 coefficients of the odd powers of the U series; all its B_{n,k} come from one
-row of one Bell table.  count_u is the l = 0 case of that formula, and count_d
-sums such coefficients over l, reading every row it needs from one table.
+row of the Bell triangle.  count_u is the l = 0 case of that formula, and
+count_d sums such coefficients over l, reading its last m + 1 rows from one
+pass.  The triangle holds only the m rows its recurrence still reads.
 count_colored_dyck is a deliberately independent dynamic program over
 colored classical Dyck paths; it shares no code with the Bell formula or the
 series solvers so it can serve as an oracle for both.  It advances one block
@@ -12,9 +13,13 @@ middle: n rows forward from height 0, n rows backward down to height 0,
 joined by a dot product at row n.  A backward row at r blocks keeps the
 heights h <= r, from which r blocks can still return to 0, and its values
 count walks of at most n blocks, so they carry fewer bits than the forward
-rows n + 1..2n they replace.  Each row is built from shifted slices
-of the last one with C-level `map` passes and written straight into its
-zero-padded list; the slices of weight 1 are added without a multiply.
+rows n + 1..2n they replace.  While m <= 3 and n <= 400 each half-row
+is one packed int, cell i in a slot of B bits, and a row step is a few
+whole-row shifts, small multiplies and adds; B covers the widest cell
+times (sum_j w_j)^64, and is measured again every 64 rows.  Elsewhere
+each row is a list built from shifted slices of the last one with C-level
+`map` passes: the packed passes are memory-bound, and past n = 500-700 at
+m = 2 and 3 they are the slower form.
 count_u_slope52 sums its single-sum closed form by the ratio of consecutive
 terms, with an exact division at every step.
 
@@ -24,11 +29,12 @@ check; an inexact division means a transcription bug, never bad input.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import repeat
 from math import comb, factorial
 from operator import add, mul
 
-from .bell import bell_table
+from .bell import bell_rows
 from .words import check_args, check_int
 
 
@@ -101,7 +107,8 @@ def u_odd_power_coeff(m: int, nu: int, ell: int) -> int:
     check_int("ell", ell)
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    return _odd_power_from_row(m, nu, ell, bell_table(nu, _weighted_args(m))[nu])
+    row = deque(bell_rows(nu, _weighted_args(m)), maxlen=1)[0]
+    return _odd_power_from_row(m, nu, ell, row)
 
 
 def _odd_power_from_row(m: int, nu: int, ell: int, row: list[int]) -> int:
@@ -121,11 +128,12 @@ def count_d(m: int, n: int) -> int:
     check_args(m, n)
     if n == 0:
         return 1
-    table = bell_table(n - 1, _weighted_args(m))
+    ells = range(min(m, n - 1) + 1)
+    rows = deque(bell_rows(n - 1, _weighted_args(m)), maxlen=len(ells))
     return sum(
         comb(m + ell + 1, m - ell)
-        * _odd_power_from_row(m, n - ell - 1, ell, table[n - ell - 1])
-        for ell in range(min(m, n - 1) + 1)
+        * _odd_power_from_row(m, n - ell - 1, ell, rows[-1 - ell])
+        for ell in ells
     )
 
 
@@ -160,22 +168,53 @@ def count_colored_dyck(m: int, n: int) -> int:
 
     A block of ascent 2j moves forward entry i + s - j of row k to entry i
     of row k + 1, where s = (k + 1) % 2, and backward entry i + j - s' of
-    row r - 1 to entry i of row r, where s' = 1 - r % 2.  One pass of the
-    loop takes both halves from row k to row k + 1, so s' = 1 - s.  Each new
-    row is the sum of m + 1 shifted slices of the last one, each times its
-    weight, built from chained `map(add, ...)` and `map(mul, ...)` calls
-    that one list extension runs in C, with no per-cell bytecode, bound
-    test or double indexing.  The slices of j = 0 and j = m have weight 1
-    and take no multiply, so at m = 1 a row takes additions only.  Each row
-    is written straight into its zero-padded list.  A forward row has m
-    zeros at each end: in front for the slices that reach below height 0,
-    at the back for the down-step slice, which reads up to m entries past
-    the top reachable height.  A backward row has one zero in front, for
-    the down step from height 0, and m at the back, for heights too high to
-    return.
+    row r - 1 to entry i of row r, where s' = 1 - r % 2.  One step takes both
+    halves from row k to row k + 1, so s' = 1 - s.  Each new row is the sum
+    of the m + 1 shifted copies of the last one, each times its weight;
+    w_0 = w_m = 1, so those two copies take no multiply.
+
+    The rows have two forms, with the same cells.  _cell_rows holds one int
+    per cell and builds each row from shifted list slices.  _packed_rows
+    holds each half-row as one int, cell i in the B-bit slot i (Kronecker
+    substitution): a shifted copy is a shift by whole slots, and a step is
+    a few whole-row shifts, small multiplies and adds, with no per-cell
+    object.  Every value is nonnegative and a step multiplies the largest
+    cell by at most sum_j w_j, so slots of B = bits(widest cell) +
+    bits((sum_j w_j)^64) + 1 bits, rounded up to whole bytes, hold every
+    cell and every partial sum of the next 64 rows, and no slot carries
+    into the next.  Every 64 rows both halves are unpacked, B is measured
+    again from the widest cell and the halves are repacked; the dot product
+    reads the unpacked cells of row n.
+
+    The packed rows win while the per-cell object cost outweighs the digits.
+    On a 2-vCPU VM, best of 5 at m = 1..3 and n = 50..1000, they took
+    0.26-0.81 of the per-cell time up to n = 400.  Their whole-row passes
+    are memory-bound, so the gap closes as n grows: the two forms tie
+    between n = 500 and 700 at m = 3 and near n = 700 at m = 2, and the
+    packed rows are 1.3 times slower at (2, 1000), 1.6 times at (3, 1000)
+    and, with no mask at m = 1, twice as slow at (1, 2000).  So the packed
+    rows serve m <= 3 and n <= 400, below every crossover, and the per-cell
+    rows every other size.
     """
     check_args(m, n)
-    weights = [comb(m + j, m - j) for j in range(m + 1)]  # w_0 = w_m = 1
+    rows = _packed_rows if m <= 3 and n <= 400 else _cell_rows
+    forward, backward = rows(m, n)
+    return sum(map(mul, forward, backward))
+
+
+def _cell_rows(m: int, n: int) -> tuple[list[int], list[int]]:
+    """Row n of both halves of count_colored_dyck, one int per cell.
+
+    Each new row is built from chained `map(add, ...)` and `map(mul, ...)`
+    calls over slices of the last one, which one list extension runs in C,
+    with no per-cell bytecode, bound test or double indexing.  Each row is
+    written straight into its zero-padded list.  A forward row has m zeros
+    at each end: in front for the slices that reach below height 0, at the
+    back for the down-step slice, which reads up to m entries past the top
+    reachable height.  A backward row has one zero in front, for the down
+    step from height 0, and m at the back, for heights too high to return.
+    """
+    weights = [comb(m + j, m - j) for j in range(m + 1)]
     middle = list(enumerate(weights[1:m], 1))
     zeros = [0] * m
     forward = zeros + [1] + zeros  # height 0, the only one after 0 blocks
@@ -200,4 +239,58 @@ def count_colored_dyck(m: int, n: int) -> int:
         backward += acc
         backward += zeros
     size = n // 2 + 1
-    return sum(map(mul, forward[m : m + size], backward[1 : 1 + size]))
+    return forward[m : m + size], backward[1 : 1 + size]
+
+
+def _packed_rows(m: int, n: int) -> tuple[list[int], list[int]]:
+    """Row n of both halves of count_colored_dyck, one int per half-row.
+
+    Both halves sum their shifted copies by Horner's rule over j = m..1,
+    then add the j = 0 copy.  A forward step shifts left by j - s slots; its
+    down-step copy at s = 1 shifts right by one slot, which drops height -1.
+    A backward step shifts right by j - s' slots, which drops the heights
+    below 0, and its down-step copy at s' = 1 shifts left by one.  Backward
+    rows never hold a height above r.  Forward rows reach heights above
+    2n - k, from which the blocks left cannot return; a mask drops them
+    every fourth row and at row n.  A step goes down by at most 1, so they
+    feed no kept height, and the rows in between carry them at no risk:
+    they are bounded like every other cell.
+    """
+    weights = [comb(m + j, m - j) for j in range(m + 1)]
+    middle = weights[m - 1 : 0 : -1]  # w_(m-1), ..., w_1
+    growth = (sum(weights) ** 64).bit_length() + 1
+    forward = backward = [1]
+    for start in range(0, n, 64):
+        fb, f = _pack(forward, growth)
+        bb, b = _pack(backward, growth)
+        fw, bw = 8 * fb, 8 * bb
+        for k in range(start, min(start + 64, n)):
+            s = 1 - k % 2
+            t = f
+            for w in middle:
+                t = (t << fw) + w * f
+            t = t + (f >> fw) if s else (t << fw) + f
+            top = 2 * n - k - 1
+            # every 64-row chunk ends on a masked row, so each unpack is exact
+            if top < (2 * m - 1) * (k + 1) and (k % 4 == 3 or k == n - 1):
+                t &= (1 << ((top - s) // 2 + 1) * fw) - 1
+            f = t
+            u = b
+            for w in middle:
+                u = (u >> bw) + w * b
+            b = (u >> bw) + b if s else u + (b << bw)
+        forward = _unpack(f, fb, min(top, (2 * m - 1) * (k + 1)) // 2 + 1)
+        backward = _unpack(b, bb, (k + 1) // 2 + 1)
+    return forward, backward
+
+
+def _pack(cells: list[int], growth: int) -> tuple[int, int]:
+    """Slot width in bytes, and the cells packed into one int at that width."""
+    nb = (max(cells).bit_length() + growth + 7) // 8
+    return nb, int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in cells), "little")
+
+
+def _unpack(packed: int, nb: int, count: int) -> list[int]:
+    """The count cells of nb bytes each that _pack packed."""
+    data = packed.to_bytes(count * nb, "little")
+    return [int.from_bytes(data[i : i + nb], "little") for i in range(0, len(data), nb)]

@@ -77,6 +77,23 @@ def test_verifier_self_pair_bifix():
     assert violation == ("0110", "0110", 1)
 
 
+@pytest.mark.parametrize(
+    "ws",
+    [
+        pytest.param("0011", id="str"),
+        pytest.param(None, id="None"),
+        pytest.param({"01"}, id="set"),
+        pytest.param([1, 2], id="int-items"),
+        pytest.param(["01", None], id="None-item"),
+        pytest.param([b"01"], id="bytes-item"),
+        pytest.param(("01", b"1"), id="bytes-in-tuple"),
+    ],
+)
+def test_verifier_rejects_what_is_not_a_list_of_words(ws):
+    with pytest.raises(ValueError, match="ws must be a list or tuple of str words"):
+        verify_cross_bifix_free(ws)
+
+
 def naive_first_overlap(ws):
     ordered = sorted(set(ws))
     for w1 in ordered:

@@ -1,5 +1,6 @@
 """Closed-form counters and their cross-validation."""
 
+import tracemalloc
 from math import comb
 
 import pytest
@@ -124,12 +125,39 @@ def test_colored_route_calls_no_other_route(monkeypatch):
     for module, name in [
         (counting, "count_u"),
         (counting, "u_odd_power_coeff"),
-        (counting, "bell_table"),
-        (bell, "bell_table"),
+        (counting, "bell_rows"),
+        (bell, "bell_rows"),
         (series, "u_series"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
     assert count_colored_dyck(3, 40) == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_packed_rows_equal_cell_rows(m):
+    # every n <= 130 crosses the 64-row re-measure twice and meets at both
+    # row parities; 200, 301 and 400 reach the sizes the packed rows serve
+    for n in [*range(131), 200, 301, 400]:
+        assert counting._packed_rows(m, n) == counting._cell_rows(m, n), n
+
+
+def test_colored_route_picks_packed_rows_at_small_sizes(monkeypatch):
+    taken = []
+
+    def spy(name):
+        rows = getattr(counting, name)
+
+        def call(m, n):
+            taken.append(name)
+            return rows(m, n)
+
+        return call
+
+    for name in ("_packed_rows", "_cell_rows"):
+        monkeypatch.setattr(counting, name, spy(name))
+    for m, n in [(3, 400), (2, 1000), (4, 50)]:
+        count_colored_dyck(m, n)
+    assert taken == ["_packed_rows", "_cell_rows", "_cell_rows"]
 
 
 def test_exact_division_guard():
@@ -155,6 +183,18 @@ def test_counts_past_enumerable_sizes():
     catalan_199, catalan_200 = comb(398, 199) // 200, comb(400, 200) // 201
     assert count_u(1, 200) == catalan_200
     assert count_d(1, 200) == catalan_200 + catalan_199
+
+
+def test_bell_route_holds_only_the_rows_it_reads():
+    # the whole triangle of count_u(2, 400) peaks near 6 MB, its window of
+    # two rows near 0.15 MB
+    tracemalloc.start()
+    try:
+        count_u(2, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
@@ -202,6 +242,11 @@ def test_counts_past_enumerable_sizes():
         pytest.param(bell.bell_partial, (3, 1.0, [1]), "k must be an int, got float", id="bell_partial-k-float"),
         pytest.param(bell.binomial, (5, 2.0), "k must be an int, got float", id="binomial-k-float"),
         pytest.param(bell.binomial, ("5", 2), "n must be an int, got str", id="binomial-n-str"),
+        pytest.param(bell.bell_partial, (3, 1, "abc"), "xs must be a list or tuple of ints, got str", id="bell_partial-xs-str"),
+        pytest.param(bell.bell_partial, (3, 1, ["a", 1, 1]), "x_1 must be an int, got str", id="bell_partial-xs-str-item"),
+        pytest.param(bell.bell_partial, (3, 1, None), "xs must be a list or tuple of ints, got NoneType", id="bell_partial-xs-None"),
+        pytest.param(bell.bell_partial, (2, 1, [1.5, 2.0]), "x_1 must be an int, got float", id="bell_partial-xs-float"),
+        pytest.param(bell.bell_partial, (2, 1, [1, True]), "x_2 must be an int, got bool", id="bell_partial-xs-bool"),
     ],
 )
 def test_invalid_input_rejected(counter, args, message):
