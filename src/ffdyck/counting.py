@@ -13,13 +13,11 @@ middle: n rows forward from height 0, n rows backward down to height 0,
 joined by a dot product at row n.  A backward row at r blocks keeps the
 heights h <= r, from which r blocks can still return to 0, and its values
 count walks of at most n blocks, so they carry fewer bits than the forward
-rows n + 1..2n they replace.  While m <= 3 and n <= 400 each half-row
-is one packed int, cell i in a slot of B bits, and a row step is a few
-whole-row shifts, small multiplies and adds; B covers the widest cell
-times (sum_j w_j)^64, and is measured again every 64 rows.  Elsewhere
-each row is a list built from shifted slices of the last one with C-level
-`map` passes: the packed passes are memory-bound, and past n = 500-700 at
-m = 2 and 3 they are the slower form.
+rows n + 1..2n they replace.  Each half-row is one packed int, cell i in
+a slot of B bits, and a row step is a few whole-row shifts, small
+multiplies and adds; B covers the widest cell times (sum_j w_j)^64, and is
+measured again every 64 rows.  The packed passes are memory-bound, so past
+n = 500-700 at m = 2 and 3 they are slower than rows of one int per cell.
 count_u_slope52 sums its single-sum closed form by the ratio of consecutive
 terms, with an exact division at every step.
 
@@ -29,10 +27,8 @@ check; an inexact division means a transcription bug, never bad input.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import repeat
 from math import comb, factorial
-from operator import add, mul
+from operator import mul
 
 from .bell import bell_rows
 from .words import check_args, check_int
@@ -107,8 +103,7 @@ def u_odd_power_coeff(m: int, nu: int, ell: int) -> int:
     check_int("ell", ell)
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    row = deque(bell_rows(nu, _weighted_args(m)), maxlen=1)[0]
-    return _odd_power_from_row(m, nu, ell, row)
+    return _odd_power_from_row(m, nu, ell, bell_rows(nu, _weighted_args(m), 1)[0])
 
 
 def _odd_power_from_row(m: int, nu: int, ell: int, row: list[int]) -> int:
@@ -129,7 +124,7 @@ def count_d(m: int, n: int) -> int:
     if n == 0:
         return 1
     ells = range(min(m, n - 1) + 1)
-    rows = deque(bell_rows(n - 1, _weighted_args(m)), maxlen=len(ells))
+    rows = bell_rows(n - 1, _weighted_args(m), len(ells))
     return sum(
         comb(m + ell + 1, m - ell)
         * _odd_power_from_row(m, n - ell - 1, ell, rows[-1 - ell])
@@ -173,9 +168,7 @@ def count_colored_dyck(m: int, n: int) -> int:
     of the m + 1 shifted copies of the last one, each times its weight;
     w_0 = w_m = 1, so those two copies take no multiply.
 
-    The rows have two forms, with the same cells.  _cell_rows holds one int
-    per cell and builds each row from shifted list slices.  _packed_rows
-    holds each half-row as one int, cell i in the B-bit slot i (Kronecker
+    Each half-row is one int, cell i in the B-bit slot i (Kronecker
     substitution): a shifted copy is a shift by whole slots, and a step is
     a few whole-row shifts, small multiplies and adds, with no per-cell
     object.  Every value is nonnegative and a step multiplies the largest
@@ -186,60 +179,17 @@ def count_colored_dyck(m: int, n: int) -> int:
     again from the widest cell and the halves are repacked; the dot product
     reads the unpacked cells of row n.
 
-    The packed rows win while the per-cell object cost outweighs the digits.
-    On a 2-vCPU VM, best of 5 at m = 1..3 and n = 50..1000, they took
-    0.26-0.81 of the per-cell time up to n = 400.  Their whole-row passes
-    are memory-bound, so the gap closes as n grows: the two forms tie
-    between n = 500 and 700 at m = 3 and near n = 700 at m = 2, and the
-    packed rows are 1.3 times slower at (2, 1000), 1.6 times at (3, 1000)
-    and, with no mask at m = 1, twice as slow at (1, 2000).  So the packed
-    rows serve m <= 3 and n <= 400, below every crossover, and the per-cell
-    rows every other size.
+    The packed rows win while the cost of one int object per cell outweighs
+    the digits: up to n = 400 at m = 1..3 they take 0.26-0.81 of the time
+    of rows held as one int per cell.  Every slot is as wide as the widest
+    cell, and the whole-row passes are memory-bound, so the gap closes as
+    n grows: the two forms tie near n = 500-700 at m = 2 and 3, and at
+    (2, 1000) and (2, 2000) the packed rows take about 1.2-1.4 and 1.7-1.9
+    times as long.
     """
     check_args(m, n)
-    rows = _packed_rows if m <= 3 and n <= 400 else _cell_rows
-    forward, backward = rows(m, n)
+    forward, backward = _packed_rows(m, n)
     return sum(map(mul, forward, backward))
-
-
-def _cell_rows(m: int, n: int) -> tuple[list[int], list[int]]:
-    """Row n of both halves of count_colored_dyck, one int per cell.
-
-    Each new row is built from chained `map(add, ...)` and `map(mul, ...)`
-    calls over slices of the last one, which one list extension runs in C,
-    with no per-cell bytecode, bound test or double indexing.  Each row is
-    written straight into its zero-padded list.  A forward row has m zeros
-    at each end: in front for the slices that reach below height 0, at the
-    back for the down-step slice, which reads up to m entries past the top
-    reachable height.  A backward row has one zero in front, for the down
-    step from height 0, and m at the back, for heights too high to return.
-    """
-    weights = [comb(m + j, m - j) for j in range(m + 1)]
-    middle = list(enumerate(weights[1:m], 1))
-    zeros = [0] * m
-    forward = zeros + [1] + zeros  # height 0, the only one after 0 blocks
-    backward = [0, 1] + zeros  # 0 blocks lead from height 0 to 0
-    for k in range(n):
-        s = 1 - k % 2
-        top = min(2 * n - k - 1, (2 * m - 1) * (k + 1))
-        size = (top - s) // 2 + 1
-        acc = map(add, forward[m + s : m + s + size], forward[s : s + size])
-        for j, w in middle:
-            seg = forward[m + s - j : m + s - j + size]
-            acc = map(add, acc, map(mul, seg, repeat(w)))
-        forward = zeros.copy()
-        forward += acc
-        forward += zeros
-        size = (k + 1) // 2 + 1  # heights up to k + 1
-        acc = map(add, backward[s : s + size], backward[s + m : s + m + size])
-        for j, w in middle:
-            seg = backward[s + j : s + j + size]
-            acc = map(add, acc, map(mul, seg, repeat(w)))
-        backward = [0]
-        backward += acc
-        backward += zeros
-    size = n // 2 + 1
-    return forward[m : m + size], backward[1 : 1 + size]
 
 
 def _packed_rows(m: int, n: int) -> tuple[list[int], list[int]]:

@@ -47,6 +47,11 @@ def test_bell_edge_rows():
     assert bell_partial(2, -1, (1, 1)) == bell_partial(-1, 0, ()) == 0
 
 
+def test_bell_takes_any_sequence_of_ints():
+    assert bell_partial(3, 1, range(1, 4)) == 3
+    assert bell_partial(5, 2, range(1, 6)) == bell_partial(5, 2, [1, 2, 3, 4, 5]) == 80
+
+
 def test_bell_single_block_and_diagonal():
     # B_{n,1} = x_n and B_{n,n} = x_1^n
     assert bell_partial(3, 1, (7, 9, 11)) == 11

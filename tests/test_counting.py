@@ -133,31 +133,36 @@ def test_colored_route_calls_no_other_route(monkeypatch):
     assert count_colored_dyck(3, 40) == want
 
 
+def half_rows_by_cell(m, n_max):
+    """Row n of both halves of the colored-Dyck DP for every n <= n_max, one
+    dict entry per height and no packing; the forward heights above
+    2 n_max - k reach no row n <= n_max and are dropped."""
+    weights = [comb(m + j, m - j) for j in range(m + 1)]
+    forward, backward = {0: 1}, {0: 1}
+    rows = [([1], [1])]
+    for k in range(1, n_max + 1):
+        step = {}
+        for h, x in forward.items():
+            for j, w in enumerate(weights):
+                if 0 <= h + 2 * j - 1 <= 2 * n_max - k:
+                    step[h + 2 * j - 1] = step.get(h + 2 * j - 1, 0) + w * x
+        forward = step
+        backward = {
+            h: sum(w * backward.get(h + 2 * j - 1, 0) for j, w in enumerate(weights))
+            for h in range(k % 2, k + 1, 2)
+        }
+        heights = range(k % 2, k + 1, 2)
+        rows.append(([forward.get(h, 0) for h in heights], [backward[h] for h in heights]))
+    return rows
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_packed_rows_equal_cell_rows(m):
+def test_packed_rows_equal_rows_by_cell(m):
     # every n <= 130 crosses the 64-row re-measure twice and meets at both
-    # row parities; 200, 301 and 400 reach the sizes the packed rows serve
+    # row parities; 200, 301 and 400 reach the bench's largest sizes
+    want = half_rows_by_cell(m, 400)
     for n in [*range(131), 200, 301, 400]:
-        assert counting._packed_rows(m, n) == counting._cell_rows(m, n), n
-
-
-def test_colored_route_picks_packed_rows_at_small_sizes(monkeypatch):
-    taken = []
-
-    def spy(name):
-        rows = getattr(counting, name)
-
-        def call(m, n):
-            taken.append(name)
-            return rows(m, n)
-
-        return call
-
-    for name in ("_packed_rows", "_cell_rows"):
-        monkeypatch.setattr(counting, name, spy(name))
-    for m, n in [(3, 400), (2, 1000), (4, 50)]:
-        count_colored_dyck(m, n)
-    assert taken == ["_packed_rows", "_cell_rows", "_cell_rows"]
+        assert counting._packed_rows(m, n) == want[n], n
 
 
 def test_exact_division_guard():
@@ -242,9 +247,11 @@ def test_bell_route_holds_only_the_rows_it_reads():
         pytest.param(bell.bell_partial, (3, 1.0, [1]), "k must be an int, got float", id="bell_partial-k-float"),
         pytest.param(bell.binomial, (5, 2.0), "k must be an int, got float", id="binomial-k-float"),
         pytest.param(bell.binomial, ("5", 2), "n must be an int, got str", id="binomial-n-str"),
-        pytest.param(bell.bell_partial, (3, 1, "abc"), "xs must be a list or tuple of ints, got str", id="bell_partial-xs-str"),
+        pytest.param(bell.bell_partial, (3, 1, "abc"), "xs must be a sequence of ints, got str", id="bell_partial-xs-str"),
+        pytest.param(bell.bell_partial, (3, 1, b"abc"), "xs must be a sequence of ints, got bytes", id="bell_partial-xs-bytes"),
+        pytest.param(bell.bell_partial, (3, 1, {1, 2}), "xs must be a sequence of ints, got set", id="bell_partial-xs-set"),
         pytest.param(bell.bell_partial, (3, 1, ["a", 1, 1]), "x_1 must be an int, got str", id="bell_partial-xs-str-item"),
-        pytest.param(bell.bell_partial, (3, 1, None), "xs must be a list or tuple of ints, got NoneType", id="bell_partial-xs-None"),
+        pytest.param(bell.bell_partial, (3, 1, None), "xs must be a sequence of ints, got NoneType", id="bell_partial-xs-None"),
         pytest.param(bell.bell_partial, (2, 1, [1.5, 2.0]), "x_1 must be an int, got float", id="bell_partial-xs-float"),
         pytest.param(bell.bell_partial, (2, 1, [1, True]), "x_2 must be an int, got bool", id="bell_partial-xs-bool"),
     ],
