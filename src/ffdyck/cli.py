@@ -13,8 +13,8 @@ checked by the library's input contract, not here: main turns its ValueError
 into exit 2 and one "error:" line on stderr.  That covers tree input too: a
 word outside U for --encode, and for --decode JSON that does not parse or a
 tree that breaks the outdegree and color rules, and a word with a letter
-outside 01 for --alphabet 01.  The CLI's own two rules, --n-max >= 1 and a
-count --method that applies to --language U only, raise ValueError too.
+outside 01 for --alphabet 01.  The CLI's own two rules, --n-max >= 1 (by
+words.check_int) and a count --method for --language U only, raise it too.
 
 Output goes to stdout through `_write`, which loops until every byte is out;
 word lists in text format are written in one call.
@@ -185,8 +185,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_codes(args: argparse.Namespace) -> int:
-    if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
+    words.check_int("--n-max", args.n_max, 1)
     from . import codes
 
     code = codes.build_code(args.m, args.n_max)

@@ -58,9 +58,9 @@ def ascent_weight(m: int, j: int) -> int:
     return comb(m + j, m - j)
 
 
-def _weighted_args(m: int) -> list[int]:
-    """Bell arguments j! * C(m+j, m-j) for j = 1..m (they are zero past j = m)."""
-    return [factorial(j) * ascent_weight(m, j) for j in range(1, m + 1)]
+def _weighted_args(m: int, n: int) -> list[int]:
+    """Bell arguments j! * C(m+j, m-j) for j = 1..min(m, n); Bell row n reads none past n."""
+    return [factorial(j) * ascent_weight(m, j) for j in range(1, min(m, n) + 1)]
 
 
 def count_u(m: int, n: int) -> int:
@@ -100,10 +100,8 @@ def u_odd_power_coeff(m: int, nu: int, ell: int) -> int:
     of any power of U must be.
     """
     check_args(m, nu)
-    check_int("ell", ell)
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    return _odd_power_from_row(m, nu, ell, bell_rows(nu, _weighted_args(m), 1)[0])
+    check_int("ell", ell, 0)
+    return _odd_power_from_row(m, nu, ell, bell_rows(nu, _weighted_args(m, nu), 1)[0])
 
 
 def _odd_power_from_row(m: int, nu: int, ell: int, row: list[int]) -> int:
@@ -124,7 +122,7 @@ def count_d(m: int, n: int) -> int:
     if n == 0:
         return 1
     ells = range(min(m, n - 1) + 1)
-    rows = bell_rows(n - 1, _weighted_args(m), len(ells))
+    rows = bell_rows(n - 1, _weighted_args(m, n - 1), len(ells))
     return sum(
         comb(m + ell + 1, m - ell)
         * _odd_power_from_row(m, n - ell - 1, ell, rows[-1 - ell])
@@ -165,8 +163,11 @@ def count_colored_dyck(m: int, n: int) -> int:
     of row k + 1, where s = (k + 1) % 2, and backward entry i + j - s' of
     row r - 1 to entry i of row r, where s' = 1 - r % 2.  One step takes both
     halves from row k to row k + 1, so s' = 1 - s.  Each new row is the sum
-    of the m + 1 shifted copies of the last one, each times its weight;
-    w_0 = w_m = 1, so those two copies take no multiply.
+    of the shifted copies of the last one, each times its weight.  Only the
+    blocks j <= min(m, n) are stepped: a block of ascent 2j > 2n climbs
+    above 2n - 1 and cannot return to 0 within 2n blocks.  w_0 = 1, and so
+    is the top weight w_min(m,n) unless n < m; a copy of weight 1 takes no
+    multiply.
 
     Each half-row is one int, cell i in the B-bit slot i (Kronecker
     substitution): a shifted copy is a shift by whole slots, and a step is
@@ -195,7 +196,7 @@ def count_colored_dyck(m: int, n: int) -> int:
 def _packed_rows(m: int, n: int) -> tuple[list[int], list[int]]:
     """Row n of both halves of count_colored_dyck, one int per half-row.
 
-    Both halves sum their shifted copies by Horner's rule over j = m..1,
+    Both halves sum their shifted copies by Horner's rule over j = min(m, n)..1,
     then add the j = 0 copy.  A forward step shifts left by j - s slots; its
     down-step copy at s = 1 shifts right by one slot, which drops height -1.
     A backward step shifts right by j - s' slots, which drops the heights
@@ -206,8 +207,9 @@ def _packed_rows(m: int, n: int) -> tuple[list[int], list[int]]:
     feed no kept height, and the rows in between carry them at no risk:
     they are bounded like every other cell.
     """
-    weights = [comb(m + j, m - j) for j in range(m + 1)]
-    middle = weights[m - 1 : 0 : -1]  # w_(m-1), ..., w_1
+    high = min(m, n)  # no block climbs past j = n and returns in 2n blocks
+    weights = [comb(m + j, m - j) for j in range(high + 1)]
+    head, middle = weights[high], weights[high - 1 : 0 : -1]  # w_(high-1), ..., w_1
     growth = (sum(weights) ** 64).bit_length() + 1
     forward = backward = [1]
     for start in range(0, n, 64):
@@ -216,20 +218,20 @@ def _packed_rows(m: int, n: int) -> tuple[list[int], list[int]]:
         fw, bw = 8 * fb, 8 * bb
         for k in range(start, min(start + 64, n)):
             s = 1 - k % 2
-            t = f
+            t = f if head == 1 else head * f
             for w in middle:
                 t = (t << fw) + w * f
             t = t + (f >> fw) if s else (t << fw) + f
             top = 2 * n - k - 1
             # every 64-row chunk ends on a masked row, so each unpack is exact
-            if top < (2 * m - 1) * (k + 1) and (k % 4 == 3 or k == n - 1):
+            if top < (2 * high - 1) * (k + 1) and (k % 4 == 3 or k == n - 1):
                 t &= (1 << ((top - s) // 2 + 1) * fw) - 1
             f = t
-            u = b
+            u = b if head == 1 else head * b
             for w in middle:
                 u = (u >> bw) + w * b
             b = (u >> bw) + b if s else u + (b << bw)
-        forward = _unpack(f, fb, min(top, (2 * m - 1) * (k + 1)) // 2 + 1)
+        forward = _unpack(f, fb, min(top, (2 * high - 1) * (k + 1)) // 2 + 1)
         backward = _unpack(b, bb, (k + 1) // 2 + 1)
     return forward, backward
 

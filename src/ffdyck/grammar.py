@@ -139,9 +139,7 @@ class _Expander:
 def expand_l_words(m: int, i: int, length: int, cap: int | None = None) -> list[str]:
     """All words of the given length derivable from L_i, sorted."""
     check_args(m, length)
-    check_int("i", i)
-    if not 1 <= i <= 2 * m + 1:
-        raise ValueError(f"index i must lie in 1..{2 * m + 1}, got {i}")
+    check_int("i", i, 1, 2 * m + 1)
     expander = _Expander(m, cap)
     tail = "b" * expander.tail(i)
     return ["a" + core + tail for core in expander.l_words(i, length)]
@@ -184,9 +182,7 @@ def primitive_u_words(m: int, j: int, cap: int | None = None) -> list[str]:
     with the insertion filter itself.
     """
     check_args(m)
-    check_int("j", j)
-    if not 1 <= j <= m:
-        raise ValueError(f"primitive words exist for 1 <= j <= m, got j={j}")
+    check_int("j", j, 1, m)
     Budget("building-block construction", "words", cap).charge(comb(m + j, m - j), period(m) * j)
     base = [0] + [m + 1] * (2 * j - 1) + [1]
     slots = m + j  # stars and bars: the m-j extra b's and 2j bars in a row

@@ -13,10 +13,13 @@ side carries a factor of the series variable, so the n-th coefficient of each
 unknown reads only coefficients below n.  The U solver keeps the coefficient
 lists of the powers U^e, e = 0..2m, and extends each power by one convolution
 with U per index, so a U or D solve to order n costs O(m n^2) integer
-operations.  Every L_1 word has valuation 1, so its length is m+1 mod 2m+3
-and L_1 is zero off that residue class; the L solver's convolutions with L_1
-step over L_1's lengths only, which divides their cost by 2m+3, and a guard
-raises if a coefficient of L_1 off the class comes out nonzero.
+operations.  Coefficient n reads the terms t^j with j <= n only, so to an
+order n < m the sums stop at j = n and the powers at U^(2 max(1, n)): a
+large m costs no more than m = order.  Every L_1 word has valuation 1, so
+its length is m+1 mod 2m+3 and L_1 is zero off that residue class; the L
+solver's convolutions with L_1 step over L_1's lengths only, which divides
+their cost by 2m+3, and a guard raises if a coefficient of L_1 off the
+class comes out nonzero.
 Each solver returns the coefficients 0..order as a tuple of ints; selfcheck
 checks them against their equations with a truncated product of its own.
 """
@@ -30,18 +33,21 @@ from .words import check_args, check_int, period
 
 
 def _u_powers(m: int, order: int) -> list[list[int]]:
-    """Coefficients 0..order of U^e for e = 0..2m, solved one index at a time.
+    """Coefficients 0..order of U^e for e = 0..2 max(1, min(m, order)), index by index.
 
     At index n the equation gives u_n = sum_j C(m+j, m-j) [t^(n-j)] U^(2j),
     which reads only indices below n; then each power U^e, e >= 2, takes its
-    n-th coefficient from the convolution of U^(e-1) with U.
+    n-th coefficient from the convolution of U^(e-1) with U.  No index up to
+    the order reads a term with j > order, so the weights stop at
+    j = min(m, order); U and U^2 are kept at every order.
     """
-    weights = [(j, binomial(m + j, m - j)) for j in range(1, m + 1)]
-    powers = [[1] + [0] * order] + [[1] for _ in range(2 * m)]
+    top = max(1, min(m, order))
+    weights = [(j, binomial(m + j, m - j)) for j in range(1, top + 1)]
+    powers = [[1] + [0] * order] + [[1] for _ in range(2 * top)]
     u = powers[1]
     for n in range(1, order + 1):
         u.append(sum(w * powers[2 * j][n - j] for j, w in weights if j <= n))
-        for e in range(2, 2 * m + 1):
+        for e in range(2, 2 * top + 1):
             powers[e].append(sum(map(mul, powers[e - 1], reversed(u))))
     return powers
 
@@ -56,7 +62,7 @@ def d_series(m: int, order: int) -> tuple[int, ...]:
     """Counting series of D in t, evaluated from the powers of the U series."""
     check_args(m, order)
     powers = _u_powers(m, order)
-    weights = [(j, binomial(m + j - 1, m - j)) for j in range(1, m + 1)]
+    weights = [(j, binomial(m + j - 1, m - j)) for j in range(1, min(m, order) + 1)]
     return (1,) + tuple(
         powers[2][n - 1]
         + sum(w * powers[2 * j - 1][n - j] for j, w in weights if j <= n)
@@ -74,10 +80,8 @@ def l_series(m: int, i: int, order: int) -> tuple[int, ...]:
     nonzero off that class, so no skipped product is ever nonzero.
     """
     check_args(m, order)
-    check_int("i", i)
     top = 2 * m + 1
-    if not 1 <= i <= top:
-        raise ValueError(f"index i must lie in 1..{top}, got {i}")
+    check_int("i", i, 1, top)
     step = period(m)
     ls = [[0] for _ in range(top + 1)]
     l1 = ls[1]

@@ -55,19 +55,14 @@ def brute_cap(override: int | None = None) -> int:
     A negative cap is rejected with a ValueError naming where it came from.
     """
     if override is not None:
-        check_int("cap", override)
-        source, cap = "cap", override
-    else:
-        source = BRUTE_CAP_ENV
-        raw = os.environ.get(BRUTE_CAP_ENV, str(DEFAULT_BRUTE_CAP))
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if cap < 0:
-        raise ValueError(f"{source} must be >= 0, got {cap}")
+        check_int("cap", override, 0)
+        return override
+    raw = os.environ.get(BRUTE_CAP_ENV, str(DEFAULT_BRUTE_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}") from None
+    check_int(BRUTE_CAP_ENV, cap, 0)
     return cap
 
 
@@ -99,30 +94,34 @@ class Budget:
             raise CapExceeded(f"{self.caller} needs more than {spent} brute-force cap")
 
 
-def check_int(name: str, value: int) -> None:
-    """The input contract's type rule for an integer argument: an int, not a bool."""
+def check_int(name: str, value: int, low: int | None = None, high: int | None = None) -> None:
+    """The input contract for an integer: an int, not a bool, in low.. or low..high.
+
+    The caller fixes the bounds; without low there are none.  Out of them the
+    message reads `{name} must be >= {low}, got {value}` or
+    `{name} must be in {low}..{high}, got {value}`.
+    """
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+    if low is not None and (value < low or high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def check_args(m: int, n: int = 0) -> None:
     """The library's input contract for a slope m and a size n: ints, m >= 1, n >= 0."""
-    check_int("m", m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    check_int("n", n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_int("m", m, 1)
+    check_int("n", n, 0)
 
 
-def check_word(word: str) -> None:
-    """The input contract for a word: a str of letters a and b only."""
+def check_word(word: str, letters: str = "ab") -> None:
+    """The input contract for a word: a str over `letters`, with the first stray letter named."""
     if not isinstance(word, str):
         raise ValueError(f"word must be a str, got {type(word).__name__}")
     # one C-level pass: every letter outside ASCII encodes as "?"
-    if word.encode("ascii", "replace").translate(None, b"ab"):
-        stray = next(c for c in word if c not in "ab")
-        raise ValueError(f"word must be over {{a, b}}, got letter {stray!r}")
+    if word.encode("ascii", "replace").translate(None, letters.encode()):
+        stray = next(c for c in word if c not in letters)
+        raise ValueError(f"word must be over {{{', '.join(letters)}}}, got letter {stray!r}")
 
 
 def period(m: int) -> int:
@@ -141,15 +140,8 @@ def to_binary(word: str) -> str:
 
 
 def from_binary(word: str) -> str:
-    """Read a binary word (0 -> a, 1 -> b) into the ab alphabet.
-
-    Any letter outside {0, 1} raises ValueError.
-    """
-    if not isinstance(word, str):
-        raise ValueError(f"word must be a str, got {type(word).__name__}")
-    if word.encode("ascii", "replace").translate(None, b"01"):
-        stray = "".join(sorted(set(word) - {"0", "1"}))
-        raise ValueError(f"word contains letters outside the '01' alphabet: {stray!r}")
+    """Read a binary word (0 -> a, 1 -> b) into the ab alphabet."""
+    check_word(word, "01")
     return word.translate(_FROM_BINARY)
 
 

@@ -59,6 +59,22 @@ def test_count_size_zero(capsys, language, method):
     assert code == 0 and out == "1\n"
 
 
+def test_count_routes_agree_at_large_slope(capsys):
+    outs = set()
+    for method in ("bell", "series", "colored"):
+        argv = f"count --m 100000 --n 2 --language U --method {method}".split()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1 and int(outs.pop()) > 0
+
+
+def test_codes_n_max_bound_message(capsys):
+    code, out, err = run_cli(capsys, "codes", "--m", "1", "--n-max", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --n-max must be >= 1, got 0\n"
+
+
 def test_generate_binary_alphabet(capsys):
     code, out, _ = run_cli(
         capsys, "generate", "--m", "1", "--n", "1", "--language", "D", "--alphabet", "01"

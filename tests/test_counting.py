@@ -1,5 +1,6 @@
 """Closed-form counters and their cross-validation."""
 
+import time
 import tracemalloc
 from math import comb
 
@@ -190,6 +191,26 @@ def test_counts_past_enumerable_sizes():
     assert count_d(1, 200) == catalan_200 + catalan_199
 
 
+@pytest.mark.parametrize("m, n", [(8000, 0), (8000, 1), (10**5, 3)])
+def test_large_slope_at_small_size(m, n):
+    # every route reads only the blocks j <= n, so its tables are sized by
+    # min(m, n) and a large m at a small n costs no more than m = n
+    def timed(route, *args):
+        start = time.perf_counter()
+        value = route(*args)
+        assert time.perf_counter() - start < 1, route.__name__
+        return value
+
+    u = timed(count_u, m, n)
+    series_u = timed(u_series, m, n)
+    assert timed(count_colored_dyck, m, n) == series_u[n] == u
+    assert timed(count_d, m, n) == timed(d_series, m, n)[n]
+    power = series_sum(n, series_u, [(1, 0, 7)])
+    assert timed(u_odd_power_coeff, m, n, 3) == power[n]
+    if n == 1:
+        assert u == ascent_weight(m, 1)
+
+
 def test_bell_route_holds_only_the_rows_it_reads():
     # the whole triangle of count_u(2, 400) peaks near 6 MB, its window of
     # two rows near 0.15 MB
@@ -213,7 +234,7 @@ def test_bell_route_holds_only_the_rows_it_reads():
         pytest.param(count_colored_dyck, (2, -1), "n must be >= 0", id="colored-n"),
         pytest.param(u_odd_power_coeff, (0, 1, 0), "m must be >= 1", id="odd_power-m"),
         pytest.param(u_odd_power_coeff, (2, -1, 0), "n must be >= 0", id="odd_power-n"),
-        pytest.param(u_odd_power_coeff, (2, 1, -1), "ell must be >= 0", id="odd_power-ell"),
+        pytest.param(u_odd_power_coeff, (2, 1, -1), "^ell must be >= 0, got -1$", id="odd_power-ell"),
         pytest.param(u_odd_power_coeff, (2, 3, -2), "ell must be >= 0", id="odd_power-ell2"),
         pytest.param(ascent_weight, (0, 0), "m must be >= 1", id="ascent_weight-m0"),
         pytest.param(ascent_weight, (-1, 0), "m must be >= 1", id="ascent_weight-m-1"),
@@ -223,6 +244,9 @@ def test_bell_route_holds_only_the_rows_it_reads():
         pytest.param(l_series, (2, 1, -1), "n must be >= 0", id="l_series-n"),
         pytest.param(l_series, (0, 1, 3), "m must be >= 1", id="l_series-m"),
         pytest.param(expand_l_words, (2, 1, -5), "n must be >= 0", id="expand_l_words-n"),
+        pytest.param(expand_l_words, (2, 6, 5), r"^i must be in 1\.\.5, got 6$", id="expand_l_words-i6"),
+        pytest.param(l_series, (2, 0, 3), r"^i must be in 1\.\.5, got 0$", id="l_series-i0"),
+        pytest.param(primitive_u_words, (2, 3), r"^j must be in 1\.\.2, got 3$", id="primitive-j3"),
         pytest.param(build_code, (0, 0), "m must be >= 1", id="build_code-m"),
         pytest.param(build_code, (1, -3), "n must be >= 0", id="build_code-n"),
         pytest.param(count_u, (2.0, 3), "m must be an int, got float", id="count_u-m-float"),

@@ -229,9 +229,9 @@ def test_binary_rendering():
 def test_binary_rendering_checks_its_alphabet():
     with pytest.raises(ValueError, match="got letter 'c'"):
         to_binary("abc")
-    with pytest.raises(ValueError, match="outside the '01' alphabet: '2'$"):
+    with pytest.raises(ValueError, match=r"^word must be over \{0, 1\}, got letter '2'$"):
         from_binary("012")
-    with pytest.raises(ValueError, match="outside the '01' alphabet: 'ab'$"):
+    with pytest.raises(ValueError, match="got letter 'b'$"):
         from_binary("b0a1b")
     assert to_binary("") == from_binary("") == ""
 
@@ -412,9 +412,9 @@ def test_predicates_reject_zero_slope(predicate, word, m, message):
     "m, n, message",
     [
         (1.5, -1, "m must be an int, got float"),
-        (0, "1", "m must be >= 1"),
+        pytest.param(0, "1", "m must be >= 1, got 0", id="0-1-m must be >= 1"),
         (1, "1", "n must be an int, got str"),
-        (1, -1, "n must be >= 0"),
+        pytest.param(1, -1, "n must be >= 0, got -1", id="1--1-n must be >= 0"),
         # bool is an int subclass, but no slope or size
         (True, 3, "m must be an int, got bool"),
         (1, False, "n must be an int, got bool"),
@@ -480,6 +480,40 @@ def test_only_the_budget_raises_cap_exceeded():
     total = sum(cap_raises(ast.parse(path.read_text())) for path in package.glob("*.py"))
     charge = ast.parse(textwrap.dedent(inspect.getsource(words.Budget.charge)))
     assert total == cap_raises(charge) == 1
+
+
+def test_value_errors_come_from_the_contract():
+    # one input contract: a new range check goes through words.check_int, so
+    # the functions that raise ValueError themselves are these alone
+    def raisers(module, body, prefix=""):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from raisers(module, node.body, f"{node.name}.")
+            elif isinstance(node, ast.FunctionDef) and any(
+                isinstance(inner, ast.Raise)
+                and inner.exc is not None
+                and ast.unparse(inner.exc).startswith("ValueError")
+                for inner in ast.walk(node)
+            ):
+                yield f"{module}.{prefix}{node.name}"
+
+    package = Path(words.__file__).parent
+    found = {
+        name
+        for path in package.glob("*.py")
+        for name in raisers(path.stem, ast.parse(path.read_text()).body)
+    }
+    assert found == {
+        "words.check_int",
+        "words.check_word",
+        "words.brute_cap",
+        "bell._nonzero_args",
+        "codes.verify_cross_bifix_free",
+        "trees.ColoredTree.from_json_text",
+        "trees._parse_json_pieces",
+        "cli._cmd_count",
+        "selfcheck.run",
+    }
 
 
 def test_cap_env_override(monkeypatch):
