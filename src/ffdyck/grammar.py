@@ -154,6 +154,7 @@ def generate_u_words(m: int, n: int, cap: int | None = None) -> list[str]:
     check_args(m, n)
     if n == 0:
         return [""]
+    _charge_lower_bound(m, n, comb(m + 1, 2), cap)
     return _Expander(m, cap).runs(1, period(m) * n + m + 1, stream=True)
 
 
@@ -165,7 +166,21 @@ def generate_d_words(m: int, n: int, cap: int | None = None) -> list[str]:
     check_args(m, n)
     if n == 0:
         return [""]
+    _charge_lower_bound(m, n, m + 1, cap)
     return _Expander(m, cap).runs(0, period(m) * n, (("a",),), stream=True)
+
+
+def _charge_lower_bound(m: int, n: int, first: int, cap: int | None) -> None:
+    """Charge, on a budget of its own, `first` * w^(n-1) words, w = C(m+1, 2).
+
+    Chains of the w one-blocks give u_n >= w^n, and the m+1 D-words of size
+    1 give d_n >= (m+1) w^(n-1), so a size past the cap is refused before
+    expanding; the expansion charges at least its output, so it keeps its
+    thresholds.  Past the cap's bit length the exponent changes no answer.
+    """
+    budget = Budget("grammar expansion", "words", cap)
+    power = comb(m + 1, 2) ** min(n - 1, budget.cap.bit_length())
+    budget.charge(first * power, period(m) * n)
 
 
 def primitive_u_words(m: int, j: int, cap: int | None = None) -> list[str]:

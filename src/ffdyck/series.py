@@ -77,22 +77,27 @@ def l_series(m: int, i: int, order: int) -> tuple[int, ...]:
     right-hand side reads only coefficients below n.  The product tau L_1
     L_{k+1} sums over the lengths m+1 + r(2m+3) < n of L_1 words only; after
     each index an AssertionError is raised if L_1's new coefficient is
-    nonzero off that class, so no skipped product is ever nonzero.
+    nonzero off that class, so no skipped product is ever nonzero.  An L_k
+    word of length l has valuation k = (2m+3)#a - 2l, #a >= 1, so only L_k
+    with k >= 2m+3 - 2 order (and the two top rows) are built.
     """
     check_args(m, order)
     top = 2 * m + 1
     check_int("i", i, 1, top)
+    low = max(1, min(top - 1, top + 2 - 2 * order))
+    if i < low:
+        return (0,) * (order + 1)
     step = period(m)
-    ls = [[0] for _ in range(top + 1)]
-    l1 = ls[1]
+    ls = [[0] for _ in range(low, top + 1)]  # ls[k - low] holds L_k
+    l1 = ls[0] if low == 1 else [0] * (order + 1)  # L_1 is zero to this order
     for n in range(1, order + 1):
-        ls[top].append(1 if n == 1 else 0)
-        ls[top - 1].append(l1[n - 2] if n >= 2 else 0)
+        ls[-1].append(1 if n == 1 else 0)
+        ls[-2].append(l1[n - 2] if n >= 2 else 0)
         l1_class = l1[m + 1 :: step]  # L_1 on its lengths below n; empty for n <= m + 1
         back = n - 2 - m  # the index of L_{k+1} that meets L_1's length m + 1
-        for k in range(top - 2, 0, -1):
+        for k in range(len(ls) - 3, -1, -1):
             after = ls[k + 1][back::-step]
             ls[k].append(sum(map(mul, l1_class, after)) + ls[k + 2][n - 1])
         if l1[n] and n % step != m + 1:
             raise AssertionError(f"L_1 has a word of length {n}, not {m + 1} mod {step}")
-    return tuple(ls[i])
+    return tuple(ls[i - low])

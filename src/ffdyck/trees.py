@@ -31,10 +31,9 @@ at n = 4, deep chains of each node kind and seeded words with n = 100 to 300
 pin the reading down, and every other word of up to 14 letters must fail the
 replay.
 
-The JSON text is written by the same walk and read by one `json.loads`, or,
-past the depth that allows, by `json.loads` in pieces of bounded depth
-(`_parse_json`), so it too works at any depth; the dict form is that text
-read back.
+The JSON text is written by the same walk and read by `json.loads` in
+pieces of bounded depth (`_parse_json`), so it too works at any depth; the
+dict form is that text read back.
 """
 
 from __future__ import annotations
@@ -85,16 +84,14 @@ class ColoredTree:
 
     Immutable.  Trees and U-words are in bijection, so the word is the tree's
     identity: equality, hash, repr and pickling all go through a
-    non-recursive walk, and work at any depth.  A tree equals itself without
-    a walk, and its hash is computed once and kept in the `_hash` slot.
-    Children that are not a sequence of trees raise MalformedTree.
+    non-recursive walk, and work at any depth.  Children that are not a
+    sequence of trees raise MalformedTree.
     """
 
-    __slots__ = ("color", "children", "_hash")
+    __slots__ = ("color", "children")
 
     color: str | None
     children: tuple["ColoredTree", ...]
-    _hash: int
 
     def __new__(
         cls, color: str | None = None, children: tuple["ColoredTree", ...] = ()
@@ -117,18 +114,12 @@ class ColoredTree:
         raise AttributeError(f"ColoredTree is immutable: cannot delete {name!r}")
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, ColoredTree):
             return NotImplemented
         return tree_to_word(self) == tree_to_word(other)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            _set_hash(self, hash(tree_to_word(self)))
-            return self._hash
+        return hash(tree_to_word(self))
 
     def __repr__(self) -> str:
         return f"ColoredTree({self.canonical()})"
@@ -193,7 +184,7 @@ class ColoredTree:
 
     @classmethod
     def from_json_text(cls, text: str) -> "ColoredTree":
-        """`from_json_obj(json.loads(text))` at any depth; bad JSON raises ValueError."""
+        """`from_json_obj(json.loads(text))` by `_parse_json`; bad JSON raises ValueError."""
         if not isinstance(text, str):
             raise ValueError(f"tree JSON must be a str, got {type(text).__name__}")
         return cls.from_json_obj(_parse_json(text))
@@ -202,7 +193,6 @@ class ColoredTree:
 # the slot descriptors' setters, which get past the immutable __setattr__
 _set_color = ColoredTree.color.__set__
 _set_children = ColoredTree.children.__set__
-_set_hash = ColoredTree._hash.__set__
 
 
 def _node(
@@ -244,29 +234,15 @@ _JSON_BRACKETS = re.compile(
 def _parse_json(text: str) -> Any:
     """The value of one JSON text, as `json.loads` reads it, at any depth.
 
-    One `json.loads` reads any text that nests less deep than the recursion
-    limit allows.  A text too deep for it, or one it rejects, goes to
-    `_parse_json_pieces`, so every fault is reported by that one reader.
-    """
-    import json
-
-    try:
-        return json.loads(text)
-    except (RecursionError, json.JSONDecodeError):
-        return _parse_json_pieces(text)
-
-
-def _parse_json_pieces(text: str) -> Any:
-    """`_parse_json` by a bracket scan that hands `json.loads` bounded depths.
-
-    The scan tracks the bracket depth only.  A container that opens at a
-    positive depth that is a multiple of _CUT is read by `json.loads` on its
-    own once it closes; in the text around it, it stands as {}, and so does
-    every empty object, which the hook could not tell from one.  An
-    object_hook gives each {} back its value, in the order they close, and
-    returns any other object as it is.  Each piece is
-    the text with whole values put in place of values, so every piece reads
-    exactly when the text does, and no call nests deeper than _CUT.
+    A bracket scan hands `json.loads` pieces of bounded depth; it tracks the
+    bracket depth only.  A container that opens at a positive depth that is
+    a multiple of _CUT is read by `json.loads` on its own once it closes; in
+    the text around it, it stands as {}, and so does every empty object,
+    which the hook could not tell from one.  An object_hook gives each {}
+    back its value, in the order they close, and returns any other object as
+    it is.  Each piece is the text with whole values put in place of values,
+    so every piece reads exactly when the text does, and no call nests
+    deeper than _CUT.
     """
     import json
 

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,16 @@ def test_codes_json_output_and_verify(capsys):
     assert "verified" in err
 
 
+def test_codes_verify_failure_exits_1(capsys, monkeypatch):
+    from ffdyck import codes
+
+    violation = ("00111", "00111", 1)
+    monkeypatch.setattr(codes, "verify_cross_bifix_free", lambda ws: (False, violation))
+    code, out, err = run_cli(capsys, "codes", "--m", "1", "--n-max", "1", "--verify")
+    assert code == 1 and out == "00111\n01011\n"
+    assert err == f"cross-bifix violation: {violation}\n"
+
+
 def test_cap_exceeded_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("DYCK_BRUTE_CAP", "1")
     code, _, err = run_cli(
@@ -328,6 +339,24 @@ def test_hostile_argv(capsys, monkeypatch, argv, env, want):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == want and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "generate --m 100000 --n 1 --language U",
+        "generate --m 100000 --n 1 --language D",
+        "codes --m 100000 --n-max 1",
+    ],
+)
+def test_grammar_refuses_a_large_slope_before_it_expands(capsys, monkeypatch, argv):
+    # the output's lower bound is charged first: these ran for over 20 s
+    monkeypatch.delenv("DYCK_BRUTE_CAP", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: grammar expansion needs more than ")
 
 
 def test_grammar_letter_budget_stops_a_huge_generate():

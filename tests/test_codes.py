@@ -45,6 +45,8 @@ def test_code_set_is_an_immutable_value():
     assert pickle.loads(pickle.dumps(first)) == first
     with pytest.raises(AttributeError):
         first.m = 2
+    with pytest.raises(AttributeError, match="cannot delete 'm'"):
+        del first.m
     assert first.m == 1
 
 

@@ -16,7 +16,14 @@ from ffdyck.grammar import (
     generate_u_words,
     primitive_u_words,
 )
-from ffdyck.words import CapExceeded, is_factor_free, period, prefix_profile, valuation
+from ffdyck.words import (
+    Budget,
+    CapExceeded,
+    is_factor_free,
+    period,
+    prefix_profile,
+    valuation,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -196,6 +203,27 @@ def test_cap_applies_to_grammar():
         CapExceeded, match=r"^grammar expansion needs more than 76850 letters,"
     ):
         generate_u_words(2, 4, cap=7685)
+
+
+def test_lower_bound_is_charged_first_and_never_past_the_count(monkeypatch):
+    # a run that fits the cap is never refused by the bound, so no answer
+    # changes; a run whose bound is past the cap is refused before expanding
+    class FirstCharge(Exception):
+        pass
+
+    class Spy(Budget):
+        def charge(self, count, length):
+            raise FirstCharge(count, length)
+
+    monkeypatch.setattr(grammar, "Budget", Spy)
+    for gen, count in ((generate_u_words, count_u), (generate_d_words, count_d)):
+        for m in range(1, 9):
+            for n in range(1, 13):
+                with pytest.raises(FirstCharge) as caught:
+                    gen(m, n)
+                bound, length = caught.value.args
+                assert 1 <= bound <= count(m, n), (gen.__name__, m, n)
+                assert length == period(m) * n
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """The generating-function solvers and selfcheck's series helper."""
 
+import tracemalloc
 from operator import mul
 
 import pytest
@@ -70,3 +71,25 @@ def test_l_series_guard_catches_a_wrong_stride(monkeypatch):
     with pytest.raises(AssertionError, match="L_1 has a word of length 7"):
         l_series(1, 1, 40)
 
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_l_series_below_the_order_matches_dense_solve(m):
+    # to an order below m + 1, the lists of L_k with k < 2m+3 - 2 order are
+    # not built, and a lower i reads zeros
+    for order in range(m + 3):
+        dense = dense_l_series(m, order)
+        for i in range(1, 2 * m + 2):
+            assert l_series(m, i, order) == dense[i], (order, i)
+
+
+def test_l_series_at_a_large_slope_is_sized_by_the_order():
+    m = 10**5
+    tracemalloc.start()
+    try:
+        assert l_series(m, 2 * m + 1, 3) == (0, 1, 0, 0)
+        assert l_series(m, 2 * m - 1, 3) == (0, 0, 1, 0)
+        assert l_series(m, 1, 3) == (0, 0, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -53,23 +53,7 @@ def test_ten_edge_example_word():
     assert tree.children[0] == LEAF
     assert len(tree.children[1].children) == 4
     assert tree_to_word(tree) == TEN_EDGE_WORD
-
-
-def test_self_equality_and_repeated_hash_render_once(monkeypatch):
-    # a tree equals itself without a walk, and its hash is rendered once
-    tree = word_to_tree(TEN_EDGE_WORD)
-    rendered = []
-
-    def spy(*args, render=trees._render):
-        rendered.append(args)
-        return render(*args)
-
-    monkeypatch.setattr(trees, "_render", spy)
-    assert tree == tree
-    assert rendered == []
-    assert hash(tree) == hash(tree) == hash(TEN_EDGE_WORD)
-    assert len(rendered) == 1
-    assert tree == word_to_tree(TEN_EDGE_WORD)
+    assert hash(tree) == hash(TEN_EDGE_WORD)
 
 
 def test_word_round_trips_length_28():
@@ -165,6 +149,8 @@ def test_json_rejects_bad_input():
         ColoredTree.from_json_obj([1, 2])
     with pytest.raises(MalformedTree):
         ColoredTree.from_json_obj({"color": "none", "children": [{}, {}]})
+    with pytest.raises(MalformedTree, match="^children must be a list$"):
+        ColoredTree.from_json_obj({"color": "blue", "children": ({}, {})})
     cyclic = {"color": "blue", "children": [{}]}
     cyclic["children"].append(cyclic)
     with pytest.raises(MalformedTree, match="contains itself"):
@@ -347,24 +333,22 @@ READER_JSON = [
 @pytest.mark.parametrize("open_, close", [("[", "]"), ('{"k": ', "}")], ids=["list", "dict"])
 def test_reader_matches_json_loads(monkeypatch, cut, depth, open_, close):
     # json.loads itself reads each of these texts: they nest at most 202 deep,
-    # so `_parse_json` reads the good ones in one call and the piecewise
-    # reader, called by name, is driven at every cut
+    # so it can judge the piecewise reader at every cut
     monkeypatch.setattr(trees, "_CUT", cut)
     for bare in GOOD_JSON + BAD_JSON + READER_JSON:
         text = open_ * depth + bare + close * depth
-        for parse in (trees._parse_json, trees._parse_json_pieces):
-            try:
-                want = repr(json.loads(text))
-            except ValueError:
-                with pytest.raises(ValueError, match="^invalid JSON: "):
-                    parse(text)
-            else:
-                assert repr(parse(text)) == want, bare
+        try:
+            want = repr(json.loads(text))
+        except ValueError:
+            with pytest.raises(ValueError, match="^invalid JSON: "):
+                trees._parse_json(text)
+        else:
+            assert repr(trees._parse_json(text)) == want, bare
 
 
 def test_reader_is_deep_and_linear():
     # far past the recursion limit, and unterminated: json.loads gives both
-    # texts up, so the piecewise reader reads them
+    # texts up in one call
     value = trees._parse_json("[" * 100_000 + "]" * 100_000)
     depth = 1
     while value:

@@ -510,7 +510,7 @@ def test_value_errors_come_from_the_contract():
         "bell._nonzero_args",
         "codes.verify_cross_bifix_free",
         "trees.ColoredTree.from_json_text",
-        "trees._parse_json_pieces",
+        "trees._parse_json",
         "cli._cmd_count",
         "selfcheck.run",
     }
