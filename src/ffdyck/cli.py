@@ -14,7 +14,8 @@ into exit 2 and one "error:" line on stderr.  That covers tree input too: a
 word outside U for --encode, and for --decode JSON that does not parse or a
 tree that breaks the outdegree and color rules, and a word with a letter
 outside 01 for --alphabet 01.  The CLI's own two rules, --n-max >= 1 (by
-words.check_int) and a count --method for --language U only, raise it too.
+words.check_int) and a count --method that counting.ROUTES holds for the
+--language, raise it too.
 
 Output goes to stdout through `_write`, which loops until every byte is out;
 word lists in text format are written in one call.
@@ -50,11 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--m", type=int, required=True)
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--language", choices=("U", "D"), required=True)
-    p_count.add_argument(
-        "--method",
-        choices=("bell", "series", "colored", "brute"),
-        default="bell",
-    )
+    p_count.add_argument("--method", default="bell")
 
     p_gen = sub.add_parser("generate", help="list all words of length (2m+3)n")
     p_gen.set_defaults(func=_cmd_generate)
@@ -124,19 +121,12 @@ def _write(text: str) -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    from . import counting, series
+    from .counting import ROUTES
 
-    count = {
-        ("U", "bell"): counting.count_u,
-        ("D", "bell"): counting.count_d,
-        ("U", "series"): lambda m, n: series.u_series(m, n)[n],
-        ("D", "series"): lambda m, n: series.d_series(m, n)[n],
-        ("U", "colored"): counting.count_colored_dyck,
-        ("U", "brute"): lambda m, n: len(words.brute_enumerate_u(m, n)),
-        ("D", "brute"): lambda m, n: len(words.brute_enumerate_d(m, n)),
-    }.get((args.language, args.method))
+    count = ROUTES.get((args.language, args.method))
     if count is None:
-        raise ValueError(f"--method {args.method} applies to --language U only")
+        methods = ", ".join(method for lang, method in ROUTES if lang == args.language)
+        raise ValueError(f"--language {args.language} counts by {methods}, not {args.method}")
     _write(f"{count(args.m, args.n)}\n")
     return 0
 

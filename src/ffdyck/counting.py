@@ -21,6 +21,10 @@ n = 500-700 at m = 2 and 3 they are slower than rows of one int per cell.
 count_u_slope52 sums its single-sum closed form by the ratio of consecutive
 terms, with an exact division at every step.
 
+ROUTES is the one table of the independent counting routes (Bell, series,
+colored DP, brute search) by (language, method); the CLI dispatches through
+it and the selfcheck count checks compare its rows.
+
 Rational prefactors are evaluated as integer division with an exactness
 check; an inexact division means a transcription bug, never bad input.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 from math import comb, factorial
 from operator import mul
 
+from . import series, words
 from .bell import bell_rows
 from .words import check_args, check_int
 
@@ -246,3 +251,15 @@ def _unpack(packed: int, nb: int, count: int) -> list[int]:
     """The count cells of nb bytes each that _pack packed."""
     data = packed.to_bytes(count * nb, "little")
     return [int.from_bytes(data[i : i + nb], "little") for i in range(0, len(data), nb)]
+
+
+# (language, method) -> (m, n) -> the number of words of length (2m+3)n
+ROUTES = {
+    ("U", "bell"): count_u,
+    ("D", "bell"): count_d,
+    ("U", "series"): lambda m, n: series.u_series(m, n)[n],
+    ("D", "series"): lambda m, n: series.d_series(m, n)[n],
+    ("U", "colored"): count_colored_dyck,
+    ("U", "brute"): lambda m, n: len(words.brute_enumerate_u(m, n)),
+    ("D", "brute"): lambda m, n: len(words.brute_enumerate_d(m, n)),
+}

@@ -75,16 +75,25 @@ class _Expander:
             return cached
         if length < 1 or i > 2 * self.m + 1 or (i + 2 * length) % self.per:
             return ()
-        if i == 2 * self.m + 1:
-            words = ("",) if length == 1 else ()
-            self.budget.charge(len(words), length)
-        else:
-            # L_i needs L_{i+2} one letter shorter, which needs L_{i+4}, ...:
-            # built from the far end, that chain of m steps never nests
-            for k in range(min(self.m - i // 2, length - 1), 0, -1):
-                self.l_words(i + 2 * k, length - k)
-            words = tuple(self.runs(i, length))
-        self.memo[i, length] = words
+        # L_i needs L_{i+2} one letter shorter, which needs L_{i+4}, ...: walk
+        # up that chain while the memo lacks the next link, then build down
+        # from the far end, so the chain never nests and is walked once.
+        # Every link has the residue of i + 2 length, so each one is stored.
+        top = 0
+        while (
+            i + 2 * top + 2 <= 2 * self.m + 1
+            and length - top > 1
+            and (i + 2 * top + 2, length - top - 1) not in self.memo
+        ):
+            top += 1
+        for k in range(top, -1, -1):
+            j, size = i + 2 * k, length - k
+            if j == 2 * self.m + 1:
+                words = ("",) if size == 1 else ()
+                self.budget.charge(len(words), size)
+            else:
+                words = tuple(self.runs(j, size))
+            self.memo[j, size] = words
         return words
 
     def blocks(self, i: int, length: int) -> Iterator[tuple[tuple[int, int], list[tuple[str, ...]]]]:
@@ -141,8 +150,9 @@ def expand_l_words(m: int, i: int, length: int, cap: int | None = None) -> list[
     check_args(m, length)
     check_int("i", i, 1, 2 * m + 1)
     expander = _Expander(m, cap)
-    tail = "b" * expander.tail(i)
-    return ["a" + core + tail for core in expander.l_words(i, length)]
+    cores = expander.l_words(i, length)
+    tail = "b" * expander.tail(i) if cores else ""
+    return ["a" + core + tail for core in cores]
 
 
 def generate_u_words(m: int, n: int, cap: int | None = None) -> list[str]:

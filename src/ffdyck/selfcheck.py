@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import codes, counting, grammar, series, trees, words
 from .bell import bell_partial, binomial
@@ -77,27 +77,25 @@ def check_bell_convolution(level: str) -> None:
                 assert lhs == rhs, f"Bell convolution fails at m={m}, n={n}, k={k}"
 
 
+def _routes_agree(language: str, sizes: Iterable[tuple[int, int]], skip: str = "") -> None:
+    """The routes of counting.ROUTES for the language, bar `skip`, agree at each (m, n)."""
+    for m, n in sizes:
+        got = {
+            method: count(m, n)
+            for (lang, method), count in counting.ROUTES.items()
+            if lang == language and method != skip
+        }
+        assert len(set(got.values())) == 1, f"{language} counts disagree at m={m}, n={n}: {got}"
+
+
 def check_three_way_u_counts(level: str) -> None:
     top = 20 if level == "full" else 2
-    for m in (1, 2, 3):
-        useries = series.u_series(m, top)
-        for n in range(top + 1):
-            a = counting.count_u(m, n)
-            b = useries[n]
-            c = counting.count_colored_dyck(m, n)
-            assert a == b == c, (
-                f"count_u vs series vs colored disagree at m={m}, n={n}: {a}, {b}, {c}"
-            )
+    _routes_agree("U", itertools.product((1, 2, 3), range(top + 1)), skip="brute")
 
 
 def check_d_counts_vs_series(level: str) -> None:
     top = 20 if level == "full" else 2
-    for m in (1, 2, 3):
-        dseries = series.d_series(m, top)
-        for n in range(top + 1):
-            a = counting.count_d(m, n)
-            b = dseries[n]
-            assert a == b, f"count_d vs d_series disagree at m={m}, n={n}: {a} != {b}"
+    _routes_agree("D", itertools.product((1, 2, 3), range(top + 1)), skip="brute")
 
 
 def check_slope52_simplification(level: str) -> None:
@@ -183,13 +181,8 @@ def _brute_ranges(level: str) -> list[tuple[int, int]]:
 
 
 def check_brute_counts(level: str) -> None:
-    for m, n in _brute_ranges(level):
-        got_u = len(words.brute_enumerate_u(m, n))
-        want_u = counting.count_u(m, n)
-        assert got_u == want_u, f"count_u vs brute m={m} n={n}: {want_u} != {got_u}"
-        got_d = len(words.brute_enumerate_d(m, n))
-        want_d = counting.count_d(m, n)
-        assert got_d == want_d, f"count_d vs brute m={m} n={n}: {want_d} != {got_d}"
+    for language in "UD":
+        _routes_agree(language, _brute_ranges(level))
 
 
 def check_size_zero(level: str) -> None:
@@ -198,10 +191,8 @@ def check_size_zero(level: str) -> None:
         lists = [grammar.generate_u_words(m, 0), grammar.generate_d_words(m, 0)]
         lists += [words.brute_enumerate_u(m, 0), words.brute_enumerate_d(m, 0)]
         assert lists == [[""]] * 4, f"size-0 grammar and brute lists at m={m}: {lists}"
-        counts = [counting.count_u(m, 0), counting.count_d(m, 0)]
-        counts += [counting.count_colored_dyck(m, 0)]
-        counts += [series.u_series(m, 0)[0], series.d_series(m, 0)[0]]
-        assert counts == [1] * 5, f"size-0 counts at m={m}: {counts}, not all 1"
+        counts = {key: count(m, 0) for key, count in counting.ROUTES.items()}
+        assert set(counts.values()) == {1}, f"size-0 counts at m={m}: {counts}, not all 1"
     leaf = trees.word_to_tree("")
     assert leaf == trees.LEAF == trees.enumerate_trees(0)[0], f"size-0 tree {leaf!r}"
     assert trees.tree_to_word(trees.LEAF) == "", "the leaf spells a nonempty word"

@@ -48,11 +48,7 @@ def test_count_colored(capsys):
     assert code == 0 and out.strip() == "1390"
 
 
-@pytest.mark.parametrize(
-    "language, method",
-    [("U", method) for method in ("bell", "series", "colored", "brute")]
-    + [("D", method) for method in ("bell", "series", "brute")],
-)
+@pytest.mark.parametrize("language, method", list(counting.ROUTES))
 def test_count_size_zero(capsys, language, method):
     # the empty word is the one word of size 0 in both languages
     argv = f"count --m 2 --n 0 --language {language} --method {method}".split()
@@ -62,7 +58,7 @@ def test_count_size_zero(capsys, language, method):
 
 def test_count_routes_agree_at_large_slope(capsys):
     outs = set()
-    for method in ("bell", "series", "colored"):
+    for method in [m for lang, m in counting.ROUTES if lang == "U" and m != "brute"]:
         argv = f"count --m 100000 --n 2 --language U --method {method}".split()
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -272,13 +268,15 @@ def test_selfcheck_json(capsys, monkeypatch):
         "seconds": summary["seconds"],
     }
     # a failing check is named with its message, and the exit code is 1
-    real = counting.count_u
-    monkeypatch.setattr(counting, "count_u", lambda m, n: real(m, n) + ((m, n) == (2, 1)))
+    real = counting.ROUTES["U", "bell"]
+    monkeypatch.setitem(
+        counting.ROUTES, ("U", "bell"), lambda m, n: real(m, n) + ((m, n) == (2, 1))
+    )
     code, out, _ = run_cli(capsys, "selfcheck", "--level", "quick", "--format", "json")
     records = [json.loads(line) for line in out.splitlines()]
     failed = [r for r in records[:-1] if r["status"] == "fail"]
     assert code == 1 and failed and records[-1]["failed"] == len(failed)
-    assert any("count_u vs brute m=2 n=1" in r["message"] for r in failed)
+    assert any("U counts disagree at m=2, n=1: {'bell': 4," in r["message"] for r in failed)
     assert records[-1]["status"] == "fail"
 
 
@@ -293,6 +291,9 @@ def test_selfcheck_json(capsys, monkeypatch):
         pytest.param("count --m 2 --n -1 --language D", {}, 2, id="count-n-1"),
         pytest.param(
             "count --m 2 --n 1 --language D --method colored", {}, 2, id="count-colored-d"
+        ),
+        pytest.param(
+            "count --m 2 --n 1 --language U --method foo", {}, 2, id="count-method-foo"
         ),
         pytest.param("generate --m 2 --n -1 --language U", {}, 2, id="generate-n-1"),
         pytest.param("verify --m 1 --word 0a1", {}, 2, id="verify-ab"),

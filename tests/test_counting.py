@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from ffdyck import bell, counting, series
+from ffdyck import bell, counting, series, words
 from ffdyck.codes import build_code
 from ffdyck.counting import (
     NonIntegerResult,
@@ -132,6 +132,40 @@ def test_colored_route_calls_no_other_route(monkeypatch):
     ]:
         monkeypatch.setattr(module, name, forbidden)
     assert count_colored_dyck(3, 40) == want
+
+
+# what each method runs, by the module that holds the name
+ROUTE_FUNCTIONS = {
+    "bell": [
+        (counting, "count_u"),
+        (counting, "count_d"),
+        (counting, "u_odd_power_coeff"),
+        (counting, "bell_rows"),
+        (bell, "bell_rows"),
+    ],
+    "series": [(series, "u_series"), (series, "d_series"), (series, "_u_powers")],
+    "colored": [(counting, "count_colored_dyck"), (counting, "_packed_rows")],
+    "brute": [
+        (words, "brute_enumerate_u"),
+        (words, "brute_enumerate_d"),
+        (words, "_brute_enumerate"),
+    ],
+}
+
+
+@pytest.mark.parametrize("language, method", list(counting.ROUTES))
+def test_every_route_calls_no_other_route(monkeypatch, language, method):
+    assert set(ROUTE_FUNCTIONS) == {method for _, method in counting.ROUTES}
+    want = {"U": 19, "D": 13}[language]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"the {method} route called another counting route")
+
+    for other, names in ROUTE_FUNCTIONS.items():
+        if other != method:
+            for module, name in names:
+                monkeypatch.setattr(module, name, forbidden)
+    assert counting.ROUTES[language, method](2, 2) == want
 
 
 def half_rows_by_cell(m, n_max):

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import sys
+import time
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -188,6 +190,44 @@ def test_stack_depth_does_not_grow_with_m():
     finally:
         sys.setrecursionlimit(limit)
     assert len(words) == count_d(150, 1)
+
+
+def test_l_chain_is_walked_once_per_call(monkeypatch):
+    # L_1 at length m+1 is the one word a b^m, at the end of a chain of m
+    # links; a walk of the chain for each link it builds made m^2/2 calls
+    m, calls = 3000, 0
+    real = grammar._Expander.l_words
+
+    def spy(self, *args):
+        nonlocal calls
+        calls += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(grammar._Expander, "l_words", spy)
+    assert expand_l_words(m, 1, m + 1) == ["a" + "b" * m]
+    assert calls <= 3 * m
+
+
+def test_large_slope_at_size_one_is_refused_quickly(monkeypatch):
+    monkeypatch.delenv("DYCK_BRUTE_CAP", raising=False)
+    # the lower bound of m+1 words fits the cap here; the expansion must not
+    # spend seconds before its own charges refuse it
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        generate_d_words(5000, 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_expand_l_words_builds_no_tail_without_a_core():
+    # no L_1 word has length 8 at these slopes, so b^m is never needed
+    assert expand_l_words(10**19, 1, 8) == []
+    tracemalloc.start()
+    try:
+        assert expand_l_words(10**8, 1, 8) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_cap_applies_to_grammar():

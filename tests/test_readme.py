@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ffdyck import counting
 from ffdyck.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -35,3 +36,11 @@ def test_readme_command_runs(capsys, monkeypatch, line):
     comment = comment.strip()
     if re.fullmatch(r"[0-9ab]+(, [0-9ab]+)*", comment):
         assert out == "".join(word + "\n" for word in comment.split(", "))
+
+
+def test_readme_names_every_counting_route():
+    # the methods in the `count` paragraph's parentheses, in table order
+    text = README.read_text()
+    paragraph = text[text.index("`count` picks") :]
+    listed = re.findall(r"`(\w+)`", paragraph[paragraph.index("(") : paragraph.index(")")])
+    assert listed == list(dict.fromkeys(method for _, method in counting.ROUTES))

@@ -26,18 +26,18 @@ def test_quick_level_passes_and_reports_every_check():
 
 
 def test_skewed_count_is_caught_and_named(monkeypatch):
-    real = counting.count_u
+    real = counting.ROUTES["U", "bell"]
 
     def skewed(m: int, n: int) -> int:
         value = real(m, n)
         return value + 1 if (m, n) == (2, 1) else value
 
-    monkeypatch.setattr(counting, "count_u", skewed)
+    monkeypatch.setitem(counting.ROUTES, ("U", "bell"), skewed)
     lines: list[str] = []
     assert not selfcheck.run("quick", emit=lines.append)
     joined = "\n".join(lines)
     assert "FAIL" in joined
-    assert "count_u vs brute m=2 n=1" in joined
+    assert "U counts disagree at m=2, n=1: {'bell': 4," in joined
 
 
 def test_unknown_level_rejected():
