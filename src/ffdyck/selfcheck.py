@@ -1,7 +1,8 @@
 """Cross-module invariant suite behind the `selfcheck` CLI command.
 
 Each check is a plain function raising AssertionError with a descriptive
-message on the first violated instance.  The quick level trims every range
+message on the first violated instance, so `run` refuses to run under
+`python -O`, which strips asserts.  The quick level trims every range
 to n <= 2 (or the equivalent); the full level runs the complete verification
 ranges.  All checks are deterministic.
 """
@@ -22,12 +23,13 @@ BRUTE_RANGES_QUICK = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
 
 def check_binomial_pascal(level: str) -> None:
     top = 64 if level == "full" else 16
-    for n in range(1, top + 1):
+    for n in range(top + 1):
+        assert binomial(n, 0) == binomial(n, n) == 1, f"C({n},0) or C({n},{n}) is not 1"
         for k in range(1, n + 1):
             lhs = binomial(n, k)
             rhs = binomial(n - 1, k - 1) + binomial(n - 1, k)
             assert lhs == rhs, f"Pascal rule fails at C({n},{k})"
-    assert binomial(3, 5) == 0 and binomial(3, -1) == 0
+    assert binomial(3, 5) == 0 and binomial(3, -1) == 0, "C(3,5) or C(3,-1) is not 0"
 
 
 def check_bell_stirling(level: str) -> None:
@@ -260,8 +262,9 @@ def check_primitive_blocks(level: str) -> None:
                 f"closed-form primitive words differ from the insertion filter"
                 f" at m={m}, j={j}"
             )
-    assert grammar.primitive_u_words(2, 1) == ["abbbabb", "abbbbab", "babbbab"]
-    assert grammar.primitive_u_words(2, 2) == ["abbbabbbabbbab"]
+    for j, want in [(1, ["abbbabb", "abbbbab", "babbbab"]), (2, ["abbbabbbabbbab"])]:
+        got = grammar.primitive_u_words(2, j)
+        assert got == want, f"primitive words at m=2, j={j}: {got} != {want}"
 
 
 def check_u_word_shape(level: str) -> None:
@@ -351,7 +354,9 @@ def run(
     """Run every check at the given level; report one line per check.
 
     The text lines read "PASS name (1.23s)" or "FAIL name: message", then a
-    summary line.  With fmt "json" each line is a JSON object instead: one
+    summary line.  A check that raises any other exception than
+    AssertionError fails with a message led by the exception's type, and the
+    rest still run.  With fmt "json" each line is a JSON object instead: one
     {"check", "status", "seconds", "message"} record per check (status "pass"
     or "fail", message "" on a pass), then one {"level", "status", "checks",
     "failed", "seconds"} summary of the run.
@@ -360,6 +365,8 @@ def run(
         raise ValueError(f"unknown selfcheck level {level!r}")
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown selfcheck format {fmt!r}")
+    if not __debug__:
+        raise ValueError("selfcheck checks are assert statements, which python -O strips")
     if fmt == "json":
         import json
     failed = 0
@@ -370,6 +377,8 @@ def run(
             fn(level)
         except AssertionError as exc:
             message = str(exc)
+        except Exception as exc:
+            message = f"{type(exc).__name__}: {exc}"
         else:
             message = None
         seconds = time.perf_counter() - start

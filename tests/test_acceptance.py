@@ -70,7 +70,7 @@ def test_criterion_2_slope52_sequences():
         ]
         assert [count_d(2, n) for n in range(1, 8)] == [
             3, 13, 94, 810, 7667, 76998, 805560,
-        ]
+        ]  # OEIS A274052
 
 
 def test_criterion_3_three_way_oracle_agreement():

@@ -1,6 +1,6 @@
 """Binomial and partial Bell polynomial kernel."""
 
-from ffdyck.bell import bell_partial, binomial
+from ffdyck.bell import bell_partial
 
 
 def set_partitions(n: int, k: int):
@@ -27,14 +27,6 @@ def bell_by_partitions(n: int, k: int, xs) -> int:
             term *= xs[j - 1] if j <= len(xs) else 0
         total += term
     return total
-
-
-def test_binomial_values():
-    assert binomial(4, 2) == 6
-    assert binomial(5, 1) == 5
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-    assert binomial(0, 0) == 1
 
 
 def test_bell_edge_rows():

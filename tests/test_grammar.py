@@ -6,7 +6,6 @@ import sys
 import time
 import tracemalloc
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -26,8 +25,6 @@ from ffdyck.words import (
     prefix_profile,
     valuation,
 )
-
-DATA = Path(__file__).parent / "data"
 
 
 def test_expand_l_top_index():
@@ -121,15 +118,6 @@ def test_primitive_words_slope32():
 def test_primitive_words_slope52():
     assert primitive_u_words(2, 1) == ["abbbabb", "abbbbab", "babbbab"]
     assert primitive_u_words(2, 2) == ["abbbabbbabbbab"]
-
-
-def test_primitive_words_slope72_table():
-    table = (DATA / "slope72_building_blocks.txt").read_text().split()
-    got = (
-        primitive_u_words(3, 1) + primitive_u_words(3, 2) + primitive_u_words(3, 3)
-    )
-    assert sorted(got) == sorted(table)
-    assert len(got) == 12
 
 
 def test_primitive_words_closed_form_past_the_filter():

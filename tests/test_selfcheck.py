@@ -5,9 +5,15 @@ each runs here as its own case, named by the check, so
 `pytest -k lattice-reading` runs that one check and a failure names it.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from ffdyck import counting, selfcheck
+import ffdyck
+from ffdyck import counting, selfcheck, trees, words
 
 
 @pytest.mark.parametrize(
@@ -45,3 +51,34 @@ def test_unknown_level_rejected():
         selfcheck.run("medium")
     with pytest.raises(ValueError, match="unknown selfcheck format 'xml'"):
         selfcheck.run("quick", fmt="xml")
+
+
+@pytest.mark.parametrize(
+    "error", [trees.MalformedTraversal, words.CapExceeded, counting.NonIntegerResult]
+)
+def test_a_check_that_raises_fails_and_the_rest_run(monkeypatch, error):
+    def broken(word):
+        raise error("replay lost its place")
+
+    monkeypatch.setattr(trees, "word_to_tree", broken)
+    lines: list[str] = []
+    assert not selfcheck.run("quick", emit=lines.append)
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(lines) == len(selfcheck.CHECKS) + 1 and len(failed) == 3
+    assert all(line.endswith(f": {error.__name__}: replay lost its place") for line in failed)
+
+
+def test_zero_binomial_fails_binomial_pascal(monkeypatch):
+    # the zero function keeps Pascal's rule; C(n, 0) = C(n, n) = 1 does not
+    monkeypatch.setattr(selfcheck, "binomial", lambda n, k: 0)
+    with pytest.raises(AssertionError, match=r"^C\(0,0\) or C\(0,0\) is not 1$"):
+        selfcheck.check_binomial_pascal("quick")
+
+
+def test_optimized_python_is_refused():
+    # python -O strips the asserts the checks are made of: every check would pass
+    env = dict(os.environ, PYTHONPATH=str(Path(ffdyck.__file__).resolve().parent.parent))
+    argv = [sys.executable, "-O", "-m", "ffdyck", "selfcheck"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
