@@ -172,6 +172,9 @@ def check_u_functional_equation(level: str) -> None:
         terms = [(binomial(m + j, m - j), j, 2 * j) for j in range(m + 1)]
         rhs = series_sum(order, u, terms)
         assert u == rhs, f"U series does not satisfy its functional equation, m={m}"
+        terms = [(1, 0, 0), (1, 1, 2)]
+        terms += [(binomial(m + j - 1, m - j), j, 2 * j - 1) for j in range(1, m + 1)]
+        assert series.d_series(m, order) == series_sum(order, u, terms), f"D formula fails, m={m}"
     u1 = series.u_series(1, order)
     assert u1 == series_sum(order, u1, [(1, 0, 0), (1, 1, 2)]), "m=1: U != 1 + t U^2"
     d1 = series.d_series(1, order)

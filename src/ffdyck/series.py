@@ -11,11 +11,14 @@ one-letter-step system over the variable tau (one tau per letter) is
 All solvers work online, one coefficient index at a time: every right-hand
 side carries a factor of the series variable, so the n-th coefficient of each
 unknown reads only coefficients below n.  The U solver keeps the coefficient
-lists of the powers U^e, e = 0..2m, and extends each power by one convolution
-with U per index, so a U or D solve to order n costs O(m n^2) integer
-operations.  Coefficient n reads the terms t^j with j <= n only, so to an
-order n < m the sums stop at j = n and the powers at U^(2 max(1, n)): a
-large m costs no more than m = order.  Every L_1 word has valuation 1, so
+lists of U and of its even powers U^(2j), j = 1..m, the only powers the
+equation reads.  Per index it squares U into U^2, and U^j into U^(2j) for
+even j, by half-convolutions that multiply each pair once, and takes every
+other U^(2j) as one convolution with U^2; D adds one convolution with U.  So
+a U or D solve to order n costs O(m n^2) integer operations.  Coefficient n
+reads the terms t^j with j <= n only, so to an order n < m the sums stop at
+j = n and the powers at U^(2 max(1, n)): a large m costs no more than
+m = order.  Every L_1 word has valuation 1, so
 its length is m+1 mod 2m+3 and L_1 is zero off that residue class; the L
 solver's convolutions with L_1 step over L_1's lengths only, which divides
 their cost by 2m+3, and a guard raises if a coefficient of L_1 off the
@@ -32,42 +35,70 @@ from .bell import binomial
 from .words import check_args, check_int, period
 
 
-def _u_powers(m: int, order: int) -> list[list[int]]:
-    """Coefficients 0..order of U^e for e = 0..2 max(1, min(m, order)), index by index.
+def _even_powers(m: int, order: int) -> list[list[int]]:
+    """Coefficients 0..order of U and of U^(2j), j = 1..max(1, min(m, order)), index by index.
 
-    At index n the equation gives u_n = sum_j C(m+j, m-j) [t^(n-j)] U^(2j),
-    which reads only indices below n; then each power U^e, e >= 2, takes its
-    n-th coefficient from the convolution of U^(e-1) with U.  No index up to
-    the order reads a term with j > order, so the weights stop at
+    Entry 0 of the result is U and entry j is U^(2j).  At index n the equation
+    gives u_n = sum_j C(m+j, m-j) [t^(n-j)] U^(2j), which reads only indices
+    below n; then each even power takes its n-th coefficient, in order of j.
+    U^(2j) with j = 1 or j even is the square of U^j, a list already kept
+    (U itself, or U^(2 j/2)): a half-convolution makes each product
+    a_k a_(n-k), k < n - k, once and doubles it, plus the middle square at
+    even n.  Every other U^(2j) is one convolution U^(2j-2) U^2.  No index
+    up to the order reads a term with j > order, so the powers stop at
     j = min(m, order); U and U^2 are kept at every order.
     """
     top = max(1, min(m, order))
     weights = [(j, binomial(m + j, m - j)) for j in range(1, top + 1)]
-    powers = [[1] + [0] * order] + [[1] for _ in range(2 * top)]
-    u = powers[1]
+    u = [1] + [0] * order
+    evens = [u] + [[1] for _ in range(top)]
+    steps = [  # (U^(2j), a, b) with U^(2j) = a b; a is b for a square
+        (evens[j], evens[j // 2], evens[j // 2]) if j == 1 or j % 2 == 0
+        else (evens[j], evens[j - 1], evens[1]) for j in range(1, top + 1)
+    ]
     for n in range(1, order + 1):
-        u.append(sum(w * powers[2 * j][n - j] for j, w in weights if j <= n))
-        for e in range(2, 2 * top + 1):
-            powers[e].append(sum(map(mul, powers[e - 1], reversed(u))))
-    return powers
+        u[n] = sum(w * evens[j][n - j] for j, w in weights if j <= n)
+        half = (n + 1) // 2
+        for power, a, b in steps:
+            if a is not b:
+                power.append(sum(map(mul, a, reversed(b))))
+            else:
+                twice = 2 * sum(map(mul, a[:half], a[n : n - half : -1]))
+                power.append(twice if n % 2 else twice + a[half] * a[half])
+    return evens
 
 
 def u_series(m: int, order: int) -> tuple[int, ...]:
-    """Counting series of U in t (one t per 2m+3 letters), to the given order."""
+    """Counting series of U in t (one t per 2m+3 letters), to the given order.
+
+    The solve keeps U and its even powers U^2, U^4, .., U^(2m).  Per index it
+    squares U into U^2 and U^j into U^(2j) for even j by half-convolutions,
+    each making half a convolution's products, and takes every other power
+    as one convolution with U^2: one convolution's worth of products per
+    index at m = 2, two at m = 3.
+    """
     check_args(m, order)
-    return tuple(_u_powers(m, order)[1])
+    return tuple(_even_powers(m, order)[0])
 
 
 def d_series(m: int, order: int) -> tuple[int, ...]:
-    """Counting series of D in t, evaluated from the powers of the U series."""
+    """Counting series of D in t, evaluated from the even powers of the U series.
+
+    D = 1 + t U^2 + K U with K = sum_j C(m+j-1, m-j) t^j U^(2j-2).  K's
+    j = 1 term is m t, a shift of U; the rest is t^2 K2 with
+    K2 = sum_{j>=2} C(m+j-1, m-j) t^(j-2) U^(2j-2), and t^2 K2 U costs one
+    convolution per index on top of the U solve, none at m = 1.
+    """
     check_args(m, order)
-    powers = _u_powers(m, order)
-    weights = [(j, binomial(m + j - 1, m - j)) for j in range(1, min(m, order) + 1)]
-    return (1,) + tuple(
-        powers[2][n - 1]
-        + sum(w * powers[2 * j - 1][n - j] for j, w in weights if j <= n)
-        for n in range(1, order + 1)
-    )
+    evens = _even_powers(m, order)
+    u = evens[0]
+    weights = [(j, binomial(m + j - 1, m - j)) for j in range(2, min(m, order) + 1)]
+    terms = [[0] * (j - 2) + [w * x for x in evens[j - 1][: order + 1 - j]] for j, w in weights]
+    k2 = list(map(sum, zip(*terms)))
+    d = [1] + [a + m * b for a, b in zip(evens[1], u[:order])]
+    for i in range(len(k2)):
+        d[i + 2] += sum(map(mul, k2, reversed(u[: i + 1])))
+    return tuple(d)
 
 
 def l_series(m: int, i: int, order: int) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """The generating-function solvers and selfcheck's series helper."""
 
 import tracemalloc
+from math import comb
 from operator import mul
 
 import pytest
@@ -56,6 +57,43 @@ def dense_l_series(m, order):
             after = ls[k + 1]
             ls[k].append(sum(map(mul, l1, after[n - 1 :: -1])) + ls[k + 2][n - 1])
     return [tuple(c) for c in ls]
+
+
+def dense_u_powers(m, order):
+    """U^e for e = 0..2 max(1, min(m, order)), each power U^e, e >= 2, extended
+    by the product U^(e-1) U at every index."""
+    top = max(1, min(m, order))
+    weights = [(j, comb(m + j, m - j)) for j in range(1, top + 1)]
+    powers = [[1] + [0] * order] + [[1] for _ in range(2 * top)]
+    u = powers[1]
+    for n in range(1, order + 1):
+        u.append(sum(w * powers[2 * j][n - j] for j, w in weights if j <= n))
+        for e in range(2, 2 * top + 1):
+            powers[e].append(sum(map(mul, powers[e - 1], reversed(u))))
+    return powers
+
+
+def dense_u_and_d(m, order):
+    """U and D = 1 + t U^2 + sum_j C(m+j-1, m-j) t^j U^(2j-1) from the dense powers."""
+    powers = dense_u_powers(m, order)
+    weights = [(j, comb(m + j - 1, m - j)) for j in range(1, min(m, order) + 1)]
+    d = [1] + [
+        powers[2][n - 1] + sum(w * powers[2 * j - 1][n - j] for j, w in weights if j <= n)
+        for n in range(1, order + 1)
+    ]
+    return tuple(powers[1]), tuple(d)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_u_and_d_series_match_dense_solve(m):
+    # every order up to 60 covers the orders below m, where the powers stop early
+    for order in range(61):
+        assert (u_series(m, order), d_series(m, order)) == dense_u_and_d(m, order), order
+
+
+@pytest.mark.parametrize("m, order", [(3, 74), (2, 300)])
+def test_u_and_d_series_match_dense_solve_at_bench_sizes(m, order):
+    assert (u_series(m, order), d_series(m, order)) == dense_u_and_d(m, order)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

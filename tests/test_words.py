@@ -363,11 +363,6 @@ def test_brute_search_equals_grammar_past_the_filter(m, n):
     assert brute_enumerate_d(m, n, cap=10**10) == generate_d_words(m, n)
 
 
-def test_trivial_enumerations():
-    assert brute_enumerate_u(1, 0) == [""]
-    assert brute_enumerate_d(1, 0) == [""]
-
-
 @pytest.mark.parametrize(
     "enumerate_words",
     [generate_d_words, brute_enumerate_d, brute_enumerate_u, primitive_u_words],
