@@ -38,7 +38,6 @@ _EXPORTS = {
     "trees": (
         "LEAF",
         "ColoredTree",
-        "MalformedTraversal",
         "MalformedTree",
         "NotInU",
         "enumerate_trees",

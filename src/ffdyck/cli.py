@@ -5,8 +5,8 @@ deterministic for identical invocations and all word lists are sorted.  At
 size 0 both languages list the empty word alone, so `count --n 0` prints 1.
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid arguments or a
 non-integer or negative DYCK_BRUTE_CAP, 3 the brute-force cap exceeded by any
-enumerator (brute search, grammar or trees; cap configurable via the
-DYCK_BRUTE_CAP variable), 141 stdout closed before all
+enumerator (brute search, grammar or trees) or by the `codes --verify`
+verifier (cap set by the DYCK_BRUTE_CAP variable), 141 stdout closed before all
 output was written (`| head`), with nothing on stderr, the status a shell
 gives a process ended by SIGPIPE, under PYTHONUNBUFFERED too.  Values are
 checked by the library's input contract, not here: main turns its ValueError
@@ -179,6 +179,8 @@ def _cmd_codes(args: argparse.Namespace) -> int:
     from . import codes
 
     code = codes.build_code(args.m, args.n_max)
+    # verified before it is written, so a verifier past the cap writes nothing
+    ok, violation = codes.verify_cross_bifix_free(code.words) if args.verify else (True, None)
     if args.format == "json":
         import json
 
@@ -186,7 +188,6 @@ def _cmd_codes(args: argparse.Namespace) -> int:
     else:
         _write("".join(w + "\n" for w in code.words))
     if args.verify:
-        ok, violation = codes.verify_cross_bifix_free(list(code.words))
         if not ok:
             print(f"cross-bifix violation: {violation}", file=sys.stderr)
             return 1
@@ -216,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         return 141
     except ValueError as exc:
         # the library's input contract (bad tree JSON and non-U words
-        # included), the CLI's own value rules, and a tree parser bug
+        # included) and the CLI's own value rules
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except words.CapExceeded as exc:

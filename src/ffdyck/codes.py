@@ -9,6 +9,8 @@ form a non-overlapping code of variable length.
 
 from __future__ import annotations
 
+from bisect import bisect
+
 from . import grammar, words
 
 
@@ -86,11 +88,15 @@ def verify_cross_bifix_free(
     One dict maps each nonempty proper prefix to the least word that has it,
     so the first violation is the least (least[w2[-k:]], w2, k) over the
     suffixes w2[-k:] that are keys, found in one pass with no ordered re-scan.
-    Anything but a list or tuple of str raises ValueError.
+    Its keys are charged to the cap first; anything but a list or tuple of str is a ValueError.
     """
     if not isinstance(ws, (list, tuple)) or not set(map(type, ws)) <= {str}:
         raise ValueError("ws must be a list or tuple of str words")
     ordered = sorted(set(ws))
+    budget = words.Budget("cross-bifix-free verifier", "prefixes", None)
+    lengths = sorted(map(len, ordered))
+    for k in range(1, lengths[-1] if lengths else 0):
+        budget.charge(len(lengths) - bisect(lengths, k), k)  # one k-letter prefix per longer word
     least = {w[:k]: w for w in reversed(ordered) for k in range(1, len(w))}
     triples = [
         (least[w[-k:]], w, k)

@@ -23,13 +23,13 @@ close until 3 b's remain (a plain gap) or 4 remain under an uncolored node
 with no child yet (the red gap); past the loop, the run after the last a
 closes every open node and must be used up exactly.  A closing node spends
 two b's and turns green when it is uncolored with two children, and one b
-otherwise.  `_node` checks it like any node, so a parser fault
-surfaces as MalformedTraversal, never as a malformed tree.  These
-cases are mutually exclusive, so the parse is deterministic.  The round
-trips over every word and every tree with n <= 3 (selfcheck), over all of U
-at n = 4, deep chains of each node kind and seeded words with n = 100 to 300
-pin the reading down, and every other word of up to 14 letters must fail the
-replay.
+otherwise.  These cases are mutually exclusive, so the parse is
+deterministic, and it is the membership test: a run that fits no gap, a node
+that `_node` rejects or b's left at the end mean that the word traverses no
+tree, so it is not in U.  The round trips over every word and tree with
+n <= 3 (selfcheck), all of U at n = 4, deep chains of each node kind and
+seeded words with n = 100 to 300, and agreement with `is_in_u` on every word
+of up to 14 letters and of n = 3, pin the reading down.
 
 The JSON text is written by the same walk and read by `json.loads` in
 pieces of bounded depth (`_parse_json`), so it too works at any depth; the
@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from typing import Any
 
-from .words import Budget, check_args, is_in_u
+from .words import Budget, check_args, check_word
 
 COLORS = ("blue", "red", "green")
 
@@ -73,10 +73,6 @@ class NotInU(ValueError):
 
 class MalformedTree(ValueError):
     """A tree value violates the outdegree/color invariants."""
-
-
-class MalformedTraversal(ValueError):
-    """The tree parser lost its place while replaying a word (an internal bug)."""
 
 
 class ColoredTree:
@@ -320,11 +316,17 @@ def tree_to_word(tree: ColoredTree) -> str:
 
 
 def word_to_tree(word: str) -> ColoredTree:
-    """Parse a slope-5/2 U-word into its colored tree; the empty word is the leaf."""
-    if not is_in_u(word, 2):
-        raise NotInU(f"not a U-word for slope 5/2: {word!r}")
+    """Replay a word into its slope-5/2 colored tree (the leaf for ""); NotInU if it cannot."""
+    check_word(word)
     *runs, last = map(len, word.split("a"))
     stack: list[list[Any]] = []  # open nodes, innermost last: [color, children]
+
+    def close(node: ColoredTree, run: int) -> tuple[ColoredTree, int]:
+        color, kids = stack.pop()
+        kids.append(node)
+        green = color is None and len(kids) == 2
+        return _node("green" if green else color, kids), run - 1 - green
+
     try:
         for run in runs:
             if run < 2:
@@ -334,33 +336,22 @@ def word_to_tree(word: str) -> ColoredTree:
             # or 4 under an uncolored node with no child yet (the red gap)
             node = LEAF
             while stack and (run > 4 or (run == 4 and (stack[-1][0] or stack[-1][1]))):
-                color, kids = stack.pop()
-                kids.append(node)
-                green = color is None and len(kids) == 2
-                run -= 1 + green
-                node = _node("green" if green else color, kids)
+                node, run = close(node, run)
             if not stack or run not in (3, 4):
-                raise MalformedTraversal(
-                    f"b-run remainder {run} fits no gap here (word {word!r})"
-                )
+                break  # the run fits no gap here
             stack[-1][1].append(node)
             if run == 4:
                 stack[-1][0] = "red"
-        # the run after the last a closes every open node
-        node, run = LEAF, last
-        while stack:
-            color, kids = stack.pop()
-            kids.append(node)
-            green = color is None and len(kids) == 2
-            run -= 1 + green
-            node = _node("green" if green else color, kids)
-    except MalformedTree as exc:
-        raise MalformedTraversal(
-            f"replay built an invalid tree: {exc} (word {word!r})"
-        ) from exc
-    if run:
-        raise MalformedTraversal(f"the last b-run does not end at the root (word {word!r})")
-    return node
+        else:
+            # the run after the last a closes every open node and is used up
+            node, run = LEAF, last
+            while stack:
+                node, run = close(node, run)
+            if not run:
+                return node
+    except MalformedTree:  # the replay built a node that breaks the rules
+        pass
+    raise NotInU(f"not a U-word for slope 5/2: {word!r}")
 
 
 # (color, outdegree) of each inner-node kind

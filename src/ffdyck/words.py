@@ -429,7 +429,9 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
     Each candidate of the last frame is decided by `_last_frame_ok`, which
     tests every membership condition on the letters that frame leaves open and
     trusts none of the bounds above; the full predicates `is_in_u`/`is_in_d`
-    are not called, and the tests check them on every word emitted.
+    are not called, and the tests check them on every word emitted.  A frame
+    tries shorter runs first, and a shorter run puts an a where a longer one
+    puts a b, so the depth-first walk emits the words sorted.
     """
     check_args(m, n)
     if n == 0:
@@ -478,7 +480,7 @@ def _brute_enumerate(m: int, n: int, dyck_mode: bool, cap: int | None) -> list[s
                 out.append(prefix + b_runs[r] + "a" + b_runs[rem_b - r])
 
     walk("", 0, [], [], n_a, n_b)
-    return sorted(out)
+    return out
 
 
 def brute_enumerate_u(m: int, n: int, cap: int | None = None) -> list[str]:

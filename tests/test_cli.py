@@ -319,6 +319,12 @@ def test_selfcheck_json(capsys, monkeypatch):
             id="brute-past-cap",
         ),
         pytest.param(
+            "codes --m 1 --n-max 4 --verify",
+            {"DYCK_BRUTE_CAP": "100"},
+            3,
+            id="codes-verify-past-cap",
+        ),
+        pytest.param(
             "count --m 1 --n 2 --language D --method brute",
             {"DYCK_BRUTE_CAP": "1.5"},
             2,
@@ -406,15 +412,15 @@ def test_closed_stdout_exits_141_quietly(argv, lines_read, unbuffered):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
     env["PYTHONPATH"] = str(Path(ffdyck.__file__).resolve().parent.parent)
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "ffdyck", *argv.split()],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    for _ in range(lines_read):
-        assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=30) == 141
+    ) as proc:
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=30) == 141
     assert err == b""

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ffdyck.codes import build_code, verify_cross_bifix_free
-from ffdyck.words import from_binary
+from ffdyck.words import CapExceeded, from_binary
 
 DATA = Path(__file__).parent / "data"
 
@@ -131,3 +131,22 @@ def test_verifier_names_a_late_violation_in_one_pass():
     got = verify_cross_bifix_free(ws + ("11",))
     assert time.perf_counter() - start < 1.0
     assert got == (False, ("11", min(ws), 1))
+
+
+def test_verifier_charges_its_prefixes_to_the_cap(monkeypatch):
+    # a 10^5-letter word has 5 * 10^9 letters of prefixes, past 10 x the
+    # default cap: refused before the dict is built
+    monkeypatch.delenv("DYCK_BRUTE_CAP", raising=False)
+    start = time.perf_counter()
+    refused = "^cross-bifix-free verifier needs more than "
+    with pytest.raises(CapExceeded, match=refused + "100000000 letters,"):
+        verify_cross_bifix_free(["0" + "1" * 99_999])
+    assert time.perf_counter() - start < 1.0
+    # a word of 22 letters has 21 prefixes of 1 + 2 + ... + 21 = 231 letters
+    word = "0" + "1" * 21
+    monkeypatch.setenv("DYCK_BRUTE_CAP", "24")
+    assert verify_cross_bifix_free([word]) == (True, None)
+    for cap, spent in (("23", "230 letters, 10 x the"), ("15", "15 prefixes, the")):
+        monkeypatch.setenv("DYCK_BRUTE_CAP", cap)
+        with pytest.raises(CapExceeded, match=refused + spent):
+            verify_cross_bifix_free([word])

@@ -96,11 +96,6 @@ def test_generate_d_examples():
     assert len(generate_d_words(2, 1)) == 3
 
 
-def test_generate_empty_cases():
-    assert generate_u_words(1, 0) == [""]
-    assert generate_d_words(1, 0) == [""]
-
-
 def test_unambiguity_as_count_equality():
     # duplicate derivations would inflate the raw expansion lists; the
     # unambiguity-counts check covers the brute-force sizes
@@ -109,15 +104,6 @@ def test_unambiguity_as_count_equality():
         assert len(gu) == len(set(gu)) == count_u(m, n), (m, n)
         gd = generate_d_words(m, n)
         assert len(gd) == len(set(gd)) == count_d(m, n), (m, n)
-
-
-def test_primitive_words_slope32():
-    assert primitive_u_words(1, 1) == ["abbab"]
-
-
-def test_primitive_words_slope52():
-    assert primitive_u_words(2, 1) == ["abbbabb", "abbbbab", "babbbab"]
-    assert primitive_u_words(2, 2) == ["abbbabbbabbbab"]
 
 
 def test_primitive_words_closed_form_past_the_filter():

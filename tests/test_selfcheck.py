@@ -54,7 +54,7 @@ def test_unknown_level_rejected():
 
 
 @pytest.mark.parametrize(
-    "error", [trees.MalformedTraversal, words.CapExceeded, counting.NonIntegerResult]
+    "error", [trees.NotInU, words.CapExceeded, counting.NonIntegerResult]
 )
 def test_a_check_that_raises_fails_and_the_rest_run(monkeypatch, error):
     def broken(word):

@@ -14,7 +14,6 @@ from ffdyck.grammar import generate_u_words
 from ffdyck.trees import (
     LEAF,
     ColoredTree,
-    MalformedTraversal,
     MalformedTree,
     NotInU,
     enumerate_trees,
@@ -249,21 +248,43 @@ def test_renderings_of_spliced_words_are_pinned(spliced_u_word, tall, digests):
     assert rendering_digests(parsed) == digests
 
 
-def test_replay_faults_raise_malformed_traversal(monkeypatch):
-    # past the membership gate, every word either decodes to a tree that
-    # spells it back or fails the replay with MalformedTraversal
-    monkeypatch.setattr(trees, "is_in_u", lambda word, m: True)
-    decoded = set()
-    for length in range(1, 15):
-        for letters in itertools.product("ab", repeat=length):
-            word = "".join(letters)
-            try:
-                tree = word_to_tree(word)
-            except MalformedTraversal:
-                continue
-            assert tree_to_word(tree) == word
-            decoded.add(word)
-    assert decoded == set(generate_u_words(2, 1) + generate_u_words(2, 2))
+def test_replay_decides_membership(spliced_u_word):
+    # word_to_tree reads back exactly the words is_in_u accepts: every word of
+    # up to 14 letters, every word of 21 letters with six a's (n = 3), and
+    # one-letter flips, deletions and adjacent swaps of long U-words
+    decoded = []
+
+    def misread(word):
+        try:
+            tree = word_to_tree(word)
+        except NotInU:
+            return is_in_u(word, 2)
+        decoded.append(word)
+        return tree_to_word(tree) != word or not is_in_u(word, 2)
+
+    short = (
+        "".join(letters)
+        for length in range(15)
+        for letters in itertools.product("ab", repeat=length)
+    )
+    six_a = (
+        "".join("a" if i in at else "b" for i in range(21))
+        for at in itertools.combinations(range(21), 6)
+    )
+    rng = random.Random(34)
+    mutants = []
+    for tall in (False, True):
+        word = spliced_u_word(2, rng.randint(100, 300), rng, tall)
+        for i in rng.sample(range(len(word) - 1), 100):
+            flip = "b" if word[i] == "a" else "a"
+            mutants += [
+                word[:i] + flip + word[i + 1 :],
+                word[:i] + word[i + 1 :],
+                word[:i] + word[i + 1] + word[i] + word[i + 2 :],
+            ]
+    assert [w for w in itertools.chain(short, six_a) if misread(w)] == []
+    assert len(decoded) == 1 + 3 + 19 + 153  # U at n = 0, 1, 2 and 3
+    assert [w for w in mutants if misread(w)] == []
 
 
 def test_tree_is_an_immutable_value():
