@@ -2,7 +2,8 @@
 
 u_odd_power_coeff evaluates the partial-Bell-polynomial formula for the
 coefficients of the odd powers of the U series; all its B_{n,k} come from one
-row of the Bell triangle.  count_u is the l = 0 case of that formula, and
+row of the Bell triangle, and its prefactors C(2v+2l+1, k) k! are one running
+falling factorial.  count_u is the l = 0 case of that formula, and
 count_d sums such coefficients over l, reading its last m + 1 rows from one
 pass.  The triangle holds only the m rows its recurrence still reads.
 count_colored_dyck is a deliberately independent dynamic program over
@@ -19,14 +20,17 @@ multiplies and adds; B covers the widest cell times (sum_j w_j)^64, and is
 measured again every 64 rows.  The packed passes are memory-bound, so past
 n = 500-700 at m = 2 and 3 they are slower than rows of one int per cell.
 count_u_slope52 sums its single-sum closed form by the ratio of consecutive
-terms, with an exact division at every step.
+terms: one multiply of the big term by the small factors and one checked
+divmod per step.
 
 ROUTES is the one table of the independent counting routes (Bell, series,
 colored DP, brute search) by (language, method); the CLI dispatches through
 it and the selfcheck count checks compare its rows.
 
 Rational prefactors are evaluated as integer division with an exactness
-check; an inexact division means a transcription bug, never bad input.
+check; an inexact division means a transcription bug, never bad input, and
+raises NonIntegerResult, whose message is built only then and names the bit
+lengths of the operands, not their digits.
 """
 
 from __future__ import annotations
@@ -43,10 +47,12 @@ class NonIntegerResult(Exception):
     """An exact integer division in a counting formula failed to be exact."""
 
 
-def _exact_div(num: int, den: int, context: str) -> int:
+def _exact_div(num: int, den: int, context: str, *args: object) -> int:
+    """num // den; else NonIntegerResult, formatted only then, naming bit lengths, not digits."""
     q, r = divmod(num, den)
     if r:
-        raise NonIntegerResult(f"{context}: {num} is not divisible by {den}")
+        bits = f"{num.bit_length()}-bit / {den.bit_length()}-bit"
+        raise NonIntegerResult(f"{context.format(*args)}: inexact {bits} division")
     return q
 
 
@@ -79,28 +85,31 @@ def count_u_slope52(n: int) -> int:
     Evaluates (1/(2n+1)) * sum_{k=ceil(n/2)}^{n} t_k with t_k = C(2n+1, k)
     C(k, n-k) 3^(2k-n), and must agree with count_u(2, n).  Only the first
     term is built from binomials; each next one follows from the ratio
-    t_{k+1} / t_k = 9 (2n+1-k)(n-k) / ((2k-n+2)(2k-n+1)), applied as an
-    exact division, so a wrong ratio raises NonIntegerResult.
+    t_{k+1} / t_k = 9 (2n+1-k)(n-k) / ((2k-n+2)(2k-n+1)).  A step multiplies
+    the big term once, by the product of the small factors, and divides by
+    divmod; a nonzero remainder, that is a wrong ratio, raises
+    NonIntegerResult, whose message is formatted only then.
     """
     check_args(2, n)
     low = (n + 1) // 2
     term = comb(2 * n + 1, low) * comb(low, n - low) * 3 ** (2 * low - n)
     total = term
     for k in range(low, n):
-        term = _exact_div(
-            term * 9 * (2 * n + 1 - k) * (n - k),
-            (2 * k - n + 2) * (2 * k - n + 1),
-            f"count_u_slope52(n={n}) term {k + 1}",
-        )
+        small = 9 * (2 * n + 1 - k) * (n - k)
+        term, r = divmod(term * small, (2 * k - n + 2) * (2 * k - n + 1))
+        if r:
+            raise NonIntegerResult(f"count_u_slope52(n={n}) term {k + 1} is not an integer")
         total += term
-    return _exact_div(total, 2 * n + 1, f"count_u_slope52(n={n})")
+    return _exact_div(total, 2 * n + 1, "count_u_slope52(n={})", n)
 
 
 def u_odd_power_coeff(m: int, nu: int, ell: int) -> int:
     """Coefficient of t^nu in the (2*ell+1)-st power of the U series.
 
     Closed form: (2l+1)/(2v+2l+1) * sum_{k=0}^{v} C(2v+2l+1, k) * k!/v! *
-    B_{v,k}(1! w_1, 2! w_2, ...) with w_j = ascent_weight(m, j).  With
+    B_{v,k}(1! w_1, 2! w_2, ...) with w_j = ascent_weight(m, j).  The
+    prefactor C(N, k) * k! with N = 2v+2l+1 is the falling factorial
+    N (N-1) ... (N-k+1), carried as one running product across k.  With
     B_{0,0} = 1 the value at nu = 0 is 1 for every ell, as the constant term
     of any power of U must be.
     """
@@ -111,14 +120,13 @@ def u_odd_power_coeff(m: int, nu: int, ell: int) -> int:
 
 def _odd_power_from_row(m: int, nu: int, ell: int, row: list[int]) -> int:
     """The closed form of u_odd_power_coeff, given row nu of the Bell table."""
-    total = sum(
-        comb(2 * nu + 2 * ell + 1, k) * factorial(k) * b for k, b in enumerate(row)
-    )
-    return _exact_div(
-        (2 * ell + 1) * total,
-        (2 * nu + 2 * ell + 1) * factorial(nu),
-        f"u_odd_power_coeff(m={m}, nu={nu}, ell={ell})",
-    )
+    top = 2 * nu + 2 * ell + 1
+    total, falling = 0, 1  # falling = C(top, k) * k!
+    for k, b in enumerate(row):
+        total += falling * b
+        falling *= top - k
+    context = "u_odd_power_coeff(m={}, nu={}, ell={})"
+    return _exact_div((2 * ell + 1) * total, top * factorial(nu), context, m, nu, ell)
 
 
 def count_d(m: int, n: int) -> int:

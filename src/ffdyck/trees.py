@@ -29,7 +29,10 @@ that `_node` rejects or b's left at the end mean that the word traverses no
 tree, so it is not in U.  The round trips over every word and tree with
 n <= 3 (selfcheck), all of U at n = 4, deep chains of each node kind and
 seeded words with n = 100 to 300, and agreement with `is_in_u` on every word
-of up to 14 letters and of n = 3, pin the reading down.
+of up to 14 letters and of n = 3, pin the reading down.  NotInU names the
+word's length and the offset where the replay stopped (the a that ends the
+failing run, or the end of the word), never the word; that offset is worked
+out only after the replay has failed.
 
 The JSON text is written by the same walk and read by `json.loads` in
 pieces of bounded depth (`_parse_json`), so it too works at any depth; the
@@ -327,8 +330,9 @@ def word_to_tree(word: str) -> ColoredTree:
         green = color is None and len(kids) == 2
         return _node("green" if green else color, kids), run - 1 - green
 
+    rest = iter(runs)
     try:
-        for run in runs:
+        for run in rest:
             if run < 2:
                 stack.append(["blue" if run else None, []])
                 continue
@@ -344,14 +348,20 @@ def word_to_tree(word: str) -> ColoredTree:
                 stack[-1][0] = "red"
         else:
             # the run after the last a closes every open node and is used up
-            node, run = LEAF, last
+            node, run, rest = LEAF, last, None
             while stack:
                 node, run = close(node, run)
             if not run:
                 return node
     except MalformedTree:  # the replay built a node that breaks the rules
         pass
-    raise NotInU(f"not a U-word for slope 5/2: {word!r}")
+    # the offset where the replay stopped: the end of its failing run, or of the word
+    if rest is None:
+        stop = len(word)
+    else:
+        taken = len(runs) - sum(1 for _ in rest)
+        stop = sum(runs[:taken]) + taken - 1
+    raise NotInU(f"not a U-word for slope 5/2: length {len(word)}, replay stopped at offset {stop}")
 
 
 # (color, outdegree) of each inner-node kind

@@ -2,7 +2,7 @@
 
 import time
 import tracemalloc
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -151,6 +151,45 @@ def test_exact_division_guard():
     assert _exact_div(6, 3, "ok") == 2
     with pytest.raises(NonIntegerResult):
         _exact_div(7, 3, "must fail")
+
+
+def test_inexact_division_names_bit_lengths_not_digits():
+    # str() of a 5001-digit int raises ValueError, which the CLI maps to bad input
+    with pytest.raises(NonIntegerResult, match=r"^ctx: inexact 16610-bit / 2-bit division$"):
+        _exact_div(10**5000 + 1, 3, "ctx")
+
+
+def slope52_direct_sum(n):
+    """The slope-5/2 single sum, every term from its binomials, then divided by 2n + 1."""
+    low = (n + 1) // 2
+    terms = (comb(2 * n + 1, k) * comb(k, n - k) * 3 ** (2 * k - n) for k in range(low, n + 1))
+    total = sum(terms)
+    assert total % (2 * n + 1) == 0, n
+    return total // (2 * n + 1)
+
+
+def test_slope52_ratio_steps_match_the_direct_sum():
+    # n = 151..383 are the bench's sizes
+    for n in [*range(121), 151, 217, 284, 317, 383, 1000]:
+        assert count_u_slope52(n) == slope52_direct_sum(n), n
+
+
+def odd_power_by_comb_and_factorial(nu, ell, row):
+    """u_odd_power_coeff's closed form from Bell row nu, C(N, k) * k! by comb and factorial."""
+    top = 2 * nu + 2 * ell + 1
+    total = sum(comb(top, k) * factorial(k) * b for k, b in enumerate(row))
+    q, r = divmod((2 * ell + 1) * total, top * factorial(nu))
+    assert r == 0, (nu, ell)
+    return q
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_falling_factorial_prefactor_matches_comb_and_factorial(m):
+    xs = [factorial(j) * comb(m + j, m - j) for j in range(1, m + 1)]
+    for nu, row in enumerate(bell.bell_rows(60, xs, 61)):
+        for ell in range(4):
+            want = odd_power_by_comb_and_factorial(nu, ell, row)
+            assert u_odd_power_coeff(m, nu, ell) == want, (nu, ell)
 
 
 def test_counts_past_enumerable_sizes():

@@ -110,6 +110,13 @@ def test_encode_rejects_non_u_words():
         word_to_tree("aabbbbb")  # in D, not in U
     with pytest.raises(NotInU):
         word_to_tree("abbab")  # slope 3/2 word
+    # the message names the length and where the replay stopped, not the word
+    message = r"^not a U-word for slope 5/2: length 5, replay stopped at offset 3$"
+    with pytest.raises(NotInU, match=message):
+        word_to_tree("bbbab")
+    with pytest.raises(NotInU) as info:
+        word_to_tree("ab" * 20000)
+    assert len(str(info.value)) < 120 and "40000" in str(info.value)
 
 
 @pytest.mark.parametrize(

@@ -431,11 +431,6 @@ def test_letters_outside_ab_rejected(check):
             check(word, 1)
 
 
-def test_cap_exceeded():
-    with pytest.raises(CapExceeded):
-        brute_enumerate_u(1, 10, cap=1000)
-
-
 def test_cap_check_costs_less_than_the_search():
     # the full candidate counts here have millions of digits
     start = time.perf_counter()
