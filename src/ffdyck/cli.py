@@ -5,10 +5,11 @@ deterministic for identical invocations and all word lists are sorted.  At
 size 0 both languages list the empty word alone, so `count --n 0` prints 1.
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid arguments or a
 non-integer or negative DYCK_BRUTE_CAP, 3 the brute-force cap exceeded by any
-enumerator (brute search, grammar or trees) or by the `codes --verify`
-verifier (cap set by the DYCK_BRUTE_CAP variable), 141 stdout closed before all
-output was written (`| head`), with nothing on stderr, the status a shell
-gives a process ended by SIGPIPE, under PYTHONUNBUFFERED too.  Values are
+enumerator (brute search, grammar or trees), by the `codes --verify`
+verifier or by a series solve (cap set by the DYCK_BRUTE_CAP variable), 141
+stdout closed before all output was written (`| head`), with nothing on
+stderr, the status a shell gives a process ended by SIGPIPE, under
+PYTHONUNBUFFERED too.  Values are
 checked by the library's input contract, not here: main turns its ValueError
 into exit 2 and one "error:" line on stderr.  That covers tree input too: a
 word outside U for --encode, and for --decode JSON that does not parse or a

@@ -88,9 +88,11 @@ def count_u_slope52(n: int) -> int:
     t_{k+1} / t_k = 9 (2n+1-k)(n-k) / ((2k-n+2)(2k-n+1)).  A step multiplies
     the big term once, by the product of the small factors, and divides by
     divmod; a nonzero remainder, that is a wrong ratio, raises
-    NonIntegerResult, whose message is formatted only then.
+    NonIntegerResult, whose message is formatted only then.  The floor(n/2) + 1
+    terms are charged to a `words.Budget` before the first is built.
     """
     check_args(2, n)
+    words.Budget("slope-5/2 sum", "terms", None).charge(n // 2 + 1, 0)
     low = (n + 1) // 2
     term = comb(2 * n + 1, low) * comb(low, n - low) * 3 ** (2 * low - n)
     total = term

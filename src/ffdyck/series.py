@@ -25,6 +25,9 @@ their cost by 2m+3, and a guard raises if a coefficient of L_1 off the
 class comes out nonzero.
 Each solver returns the coefficients 0..order as a tuple of ints; selfcheck
 checks them against their equations with a truncated product of its own.
+Each first charges the coefficients its lists will hold to one
+`words.Budget`, a count it knows from m and the order, so a solve past the
+brute-force cap raises CapExceeded before it allocates any.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from __future__ import annotations
 from operator import mul
 
 from .bell import binomial
-from .words import check_args, check_int, period
+from .words import Budget, check_args, check_int, period
 
 
-def _even_powers(m: int, order: int) -> list[list[int]]:
+def _even_powers(m: int, order: int, budget: Budget) -> list[list[int]]:
     """Coefficients 0..order of U and of U^(2j), j = 1..max(1, min(m, order)), index by index.
 
     Entry 0 of the result is U and entry j is U^(2j).  At index n the equation
@@ -46,9 +49,11 @@ def _even_powers(m: int, order: int) -> list[list[int]]:
     a_k a_(n-k), k < n - k, once and doubles it, plus the middle square at
     even n.  Every other U^(2j) is one convolution U^(2j-2) U^2.  No index
     up to the order reads a term with j > order, so the powers stop at
-    j = min(m, order); U and U^2 are kept at every order.
+    j = min(m, order); U and U^2 are kept at every order.  Their coefficients
+    are charged to `budget` first.
     """
     top = max(1, min(m, order))
+    budget.charge((top + 1) * (order + 1), 0)
     weights = [(j, binomial(m + j, m - j)) for j in range(1, top + 1)]
     u = [1] + [0] * order
     evens = [u] + [[1] for _ in range(top)]
@@ -78,7 +83,7 @@ def u_series(m: int, order: int) -> tuple[int, ...]:
     index at m = 2, two at m = 3.
     """
     check_args(m, order)
-    return tuple(_even_powers(m, order)[0])
+    return tuple(_even_powers(m, order, Budget("U series solve", "coefficients", None))[0])
 
 
 def d_series(m: int, order: int) -> tuple[int, ...]:
@@ -90,7 +95,9 @@ def d_series(m: int, order: int) -> tuple[int, ...]:
     convolution per index on top of the U solve, none at m = 1.
     """
     check_args(m, order)
-    evens = _even_powers(m, order)
+    budget = Budget("D series solve", "coefficients", None)
+    budget.charge((min(m, order) + 1) * (order + 1), 0)  # K2's terms, K2 and D
+    evens = _even_powers(m, order, budget)
     u = evens[0]
     weights = [(j, binomial(m + j - 1, m - j)) for j in range(2, min(m, order) + 1)]
     terms = [[0] * (j - 2) + [w * x for x in evens[j - 1][: order + 1 - j]] for j, w in weights]
@@ -116,6 +123,9 @@ def l_series(m: int, i: int, order: int) -> tuple[int, ...]:
     top = 2 * m + 1
     check_int("i", i, 1, top)
     low = max(1, min(top - 1, top + 2 - 2 * order))
+    # L_low..L_top, and L_1's zeros when L_1 is not among them
+    lists = top + 1 - low + (low > 1)
+    Budget("L series solve", "coefficients", None).charge(lists * (order + 1), 0)
     if i < low:
         return (0,) * (order + 1)
     step = period(m)

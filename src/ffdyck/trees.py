@@ -20,19 +20,21 @@ the up tokens of the nodes it closes, then the b's of the token its a ends.
 A run of 0 or 1 b's before an a fills the slot with a new node ("a", or "ba"
 coloring it blue).  A longer run leaves the slot a leaf, and open nodes
 close until 3 b's remain (a plain gap) or 4 remain under an uncolored node
-with no child yet (the red gap); past the loop, the run after the last a
-closes every open node and must be used up exactly.  A closing node spends
-two b's and turns green when it is uncolored with two children, and one b
-otherwise.  These cases are mutually exclusive, so the parse is
-deterministic, and it is the membership test: a run that fits no gap, a node
-that `_node` rejects or b's left at the end mean that the word traverses no
-tree, so it is not in U.  The round trips over every word and tree with
-n <= 3 (selfcheck), all of U at n = 4, deep chains of each node kind and
-seeded words with n = 100 to 300, and agreement with `is_in_u` on every word
-of up to 14 letters and of n = 3, pin the reading down.  NotInU names the
-word's length and the offset where the replay stopped (the a that ends the
-failing run, or the end of the word), never the word; that offset is worked
-out only after the replay has failed.
+with no child yet (the red gap).  The run after the last a must close every
+open node and be used up exactly: the same loop reads it with 2 len(word) + 5
+b's added, more than its closes can spend, and the word is read when no node
+is open and just those b's remain.  A node closes inline, with `_node` its
+only call: it spends two b's and turns green when it is uncolored with two
+children, and one b otherwise.  These cases are mutually exclusive, so the
+parse is deterministic, and it is the membership test: a run that fits no
+gap, a node that `_node` rejects or b's left at the end mean that the word
+traverses no tree, so it is not in U.  The round trips over every word and
+tree with n <= 3 (selfcheck), all of U at n = 4, deep chains of each node
+kind and seeded words with n = 100 to 300, and agreement with `is_in_u` on
+every word of up to 14 letters and of n = 3, pin the reading down.  NotInU
+names the word's length and the offset where the replay stopped (the a that
+ends the failing run, or the end of the word), never the word; that offset
+is worked out only after the replay has failed.
 
 The JSON text is written by the same walk and read by `json.loads` in
 pieces of bounded depth (`_parse_json`), so it too works at any depth; the
@@ -290,8 +292,9 @@ def _render(
     """Preorder walk with an explicit stack, so any depth renders.
 
     An inner node emits its color's down token, its children separated by the
-    gap token, then the up token; a leaf emits `leaf`.  A leaf child is pushed
-    as its text, so the walk visits inner nodes only.
+    gap token, then the up token; a leaf emits `leaf`.  A leaf child's text
+    goes out with the token before it, so the walk visits inner nodes only
+    and the word's empty leaves cost no push.
     """
     parts: list[str] = []
     # inner nodes to visit and text to emit
@@ -302,12 +305,18 @@ def _render(
             parts.append(item)
             continue
         down, gap, up = tokens[item.color]
-        parts.append(down)
         todo.append(up)
         for child in item.children[:0:-1]:
-            todo.extend((child if child.children else leaf, gap))
+            if child.children:
+                todo += (child, gap)
+            else:
+                todo.append(gap + leaf)
         first = item.children[0]
-        todo.append(first if first.children else leaf)
+        if first.children:
+            parts.append(down)
+            todo.append(first)
+        else:
+            parts.append(down + leaf)
     return "".join(parts)
 
 
@@ -321,15 +330,13 @@ def tree_to_word(tree: ColoredTree) -> str:
 def word_to_tree(word: str) -> ColoredTree:
     """Replay a word into its slope-5/2 colored tree (the leaf for ""); NotInU if it cannot."""
     check_word(word)
-    *runs, last = map(len, word.split("a"))
+    runs = list(map(len, word.split("a")))
+    # the run after the last a closes every open node: a close spends at most
+    # two b's, so `end` more b's keep it above 4 until no node is open, and it
+    # is used up when `end` remain
+    end = 2 * len(word) + 5
+    runs[-1] += end
     stack: list[list[Any]] = []  # open nodes, innermost last: [color, children]
-
-    def close(node: ColoredTree, run: int) -> tuple[ColoredTree, int]:
-        color, kids = stack.pop()
-        kids.append(node)
-        green = color is None and len(kids) == 2
-        return _node("green" if green else color, kids), run - 1 - green
-
     rest = iter(runs)
     try:
         for run in rest:
@@ -340,27 +347,27 @@ def word_to_tree(word: str) -> ColoredTree:
             # or 4 under an uncolored node with no child yet (the red gap)
             node = LEAF
             while stack and (run > 4 or (run == 4 and (stack[-1][0] or stack[-1][1]))):
-                node, run = close(node, run)
+                color, kids = stack.pop()
+                kids.append(node)
+                if color is None and len(kids) == 2:
+                    node = _node("green", kids)
+                    run -= 2
+                else:
+                    node = _node(color, kids)
+                    run -= 1
             if not stack or run not in (3, 4):
-                break  # the run fits no gap here
+                break  # the word is read, or the run fits no gap here
             stack[-1][1].append(node)
             if run == 4:
                 stack[-1][0] = "red"
-        else:
-            # the run after the last a closes every open node and is used up
-            node, run, rest = LEAF, last, None
-            while stack:
-                node, run = close(node, run)
-            if not run:
-                return node
+        if run == end:
+            return node
     except MalformedTree:  # the replay built a node that breaks the rules
         pass
-    # the offset where the replay stopped: the end of its failing run, or of the word
-    if rest is None:
-        stop = len(word)
-    else:
-        taken = len(runs) - sum(1 for _ in rest)
-        stop = sum(runs[:taken]) + taken - 1
+    # the offset where the replay stopped: the a that ends its failing run, or
+    # the end of the word for the last run
+    taken = len(runs) - sum(1 for _ in rest)
+    stop = min(len(word), sum(runs[:taken]) + taken - 1)
     raise NotInU(f"not a U-word for slope 5/2: length {len(word)}, replay stopped at offset {stop}")
 
 

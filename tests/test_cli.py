@@ -291,6 +291,18 @@ def test_selfcheck_json(capsys, monkeypatch):
             id="brute-n1000000",
         ),
         pytest.param(
+            "count --m 2 --n 10000000000000000000 --language U --method series",
+            {},
+            3,
+            id="series-u-n1e19",
+        ),
+        pytest.param(
+            "count --m 2 --n 10000000000000000000 --language D --method series",
+            {},
+            3,
+            id="series-d-n1e19",
+        ),
+        pytest.param(
             "count --m 1 --n 2 --language U --method brute",
             {"DYCK_BRUTE_CAP": "1"},
             3,

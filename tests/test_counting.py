@@ -174,6 +174,21 @@ def test_slope52_ratio_steps_match_the_direct_sum():
         assert count_u_slope52(n) == slope52_direct_sum(n), n
 
 
+def test_slope52_charges_its_terms(monkeypatch):
+    # floor(n/2) + 1 terms, charged before the first binomial: n = 10**19 ran
+    # for seconds
+    monkeypatch.delenv(words.BRUTE_CAP_ENV, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(words.CapExceeded, match="^slope-5/2 sum needs more than 10000000 terms,"):
+        count_u_slope52(10**19)
+    assert time.perf_counter() - start < 1
+    monkeypatch.setenv(words.BRUTE_CAP_ENV, "5")
+    assert count_u_slope52(9) == count_u(2, 9)
+    monkeypatch.setenv(words.BRUTE_CAP_ENV, "4")
+    with pytest.raises(words.CapExceeded):
+        count_u_slope52(9)
+
+
 def odd_power_by_comb_and_factorial(nu, ell, row):
     """u_odd_power_coeff's closed form from Bell row nu, C(N, k) * k! by comb and factorial."""
     top = 2 * nu + 2 * ell + 1

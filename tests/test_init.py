@@ -15,9 +15,16 @@ PACKAGE_ROOT = str(Path(ffdyck.__file__).resolve().parent.parent)
 
 
 def loaded_after(code: str) -> set[str]:
-    """Modules in sys.modules after a fresh interpreter runs `code`."""
+    """Modules in sys.modules after a fresh interpreter runs `code`.
+
+    The list is taken before the probe imports json to print it, so json
+    counts only when `code` loaded it.
+    """
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
-    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    script = (
+        f"{code}\nimport sys\nloaded = sorted(sys.modules)\n"
+        "import json\nprint(json.dumps(loaded))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", script],
         env=env,
@@ -48,6 +55,20 @@ def test_count_command_loads_only_what_it_runs():
         "ffdyck.codes",
         "dataclasses",
         "inspect",
+    }
+    assert not unwanted & loaded
+
+
+def test_tree_command_loads_only_what_it_runs():
+    loaded = loaded_after('from ffdyck import cli\ncli.main(["tree", "--encode", "babbbab"])')
+    assert "ffdyck.trees" in loaded
+    unwanted = {
+        "json",
+        "ffdyck.counting",
+        "ffdyck.grammar",
+        "ffdyck.series",
+        "ffdyck.codes",
+        "ffdyck.selfcheck",
     }
     assert not unwanted & loaded
 

@@ -1,12 +1,13 @@
 """The generating-function solvers and selfcheck's series helper."""
 
+import time
 import tracemalloc
 from math import comb
 from operator import mul
 
 import pytest
 
-from ffdyck import series
+from ffdyck import series, words
 from ffdyck.selfcheck import series_sum
 from ffdyck.series import d_series, l_series, u_series
 
@@ -131,3 +132,23 @@ def test_l_series_at_a_large_slope_is_sized_by_the_order():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "solve, args, held",
+    [(u_series, (2, 9), 30), (d_series, (2, 9), 60), (l_series, (2, 1, 9), 50)],
+    ids=["U", "D", "L"],
+)
+def test_solvers_charge_the_coefficients_they_hold(monkeypatch, solve, args, held):
+    # the charge comes before any list is made: these raised OverflowError or
+    # ran for seconds
+    monkeypatch.delenv(words.BRUTE_CAP_ENV, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(words.CapExceeded, match=" series solve needs more than 10000000 "):
+        solve(*args[:-1], 10**19)
+    assert time.perf_counter() - start < 1
+    monkeypatch.setenv(words.BRUTE_CAP_ENV, str(held))
+    assert len(solve(*args)) == 10
+    monkeypatch.setenv(words.BRUTE_CAP_ENV, str(held - 1))
+    with pytest.raises(words.CapExceeded):
+        solve(*args)

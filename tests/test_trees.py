@@ -120,6 +120,24 @@ def test_encode_rejects_non_u_words():
 
 
 @pytest.mark.parametrize(
+    "word, stop",
+    [
+        pytest.param("a", 1, id="node-rule-a"),
+        pytest.param("aabbbbb", 7, id="node-rule-aabbbbb"),
+        pytest.param("b", 1, id="bs-left-over"),
+        pytest.param("bba", 2, id="no-gap-bba"),
+        pytest.param("abbabbb", 3, id="no-gap-abbabbb"),
+    ],
+)
+def test_replay_failure_exits_name_where_it_stopped(word, stop):
+    # the three ways out of the replay: a node that breaks the outdegree or
+    # colour rule, b's left over after the last node closes, a run that fits no gap
+    message = f"^not a U-word for slope 5/2: length {len(word)}, replay stopped at offset {stop}$"
+    with pytest.raises(NotInU, match=message):
+        word_to_tree(word)
+
+
+@pytest.mark.parametrize(
     "call, arg, error, message",
     [
         (ColoredTree.from_json_text, None, ValueError, "tree JSON must be a str, got NoneType"),
