@@ -6,7 +6,7 @@ size 0 both languages list the empty word alone, so `count --n 0` prints 1.
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid arguments or a
 non-integer or negative DYCK_BRUTE_CAP, 3 the brute-force cap exceeded by any
 enumerator (brute search, grammar or trees), by the `codes --verify`
-verifier or by a series solve (cap set by the DYCK_BRUTE_CAP variable), 141
+verifier or by a counting route (cap set by the DYCK_BRUTE_CAP variable), 141
 stdout closed before all output was written (`| head`), with nothing on
 stderr, the status a shell gives a process ended by SIGPIPE, under
 PYTHONUNBUFFERED too.  Values are

@@ -5,7 +5,10 @@ coefficients of the odd powers of the U series; all its B_{n,k} come from one
 row of the Bell triangle, and its prefactors C(2v+2l+1, k) k! are one running
 falling factorial.  count_u is the l = 0 case of that formula, and
 count_d sums such coefficients over l, reading its last m + 1 rows from one
-pass.  The triangle holds only the m rows its recurrence still reads.
+pass.  The triangle holds only the last rows its recurrence or result still
+reads (m of them, m + 1 for count_d), and each row i only in its columns
+ceil(i/J) <= k <= i, J = min(m, n), the ones that can be nonzero, since no
+block holds more than J elements; the rows come back whole, zeros included.
 count_colored_dyck is a deliberately independent dynamic program over
 colored classical Dyck paths; it shares no code with the Bell formula or the
 series solvers so it can serve as an oracle for both.  It advances one block
@@ -201,9 +204,13 @@ def count_colored_dyck(m: int, n: int) -> int:
     cell, and the whole-row passes are memory-bound, so the gap closes as
     n grows: the two forms tie near n = 500-700 at m = 2 and 3, and at
     (2, 1000) and (2, 2000) the packed rows take about 1.2-1.4 and 1.7-1.9
-    times as long.
+    times as long.  The pass is charged to one `words.Budget` first, as one
+    item whose letters are its n rows and the two half-rows of n + 1 cells,
+    so a size past the brute-force cap raises CapExceeded before any row is
+    built.
     """
     check_args(m, n)
+    words.Budget("colored Dyck DP", "passes", None).charge(1, n + 2 * (n + 1))
     forward, backward = _packed_rows(m, n)
     return sum(map(mul, forward, backward))
 

@@ -57,7 +57,9 @@ def brute_cap(override: int | None = None) -> int:
     if override is not None:
         check_int("cap", override, 0)
         return override
-    raw = os.environ.get(BRUTE_CAP_ENV, str(DEFAULT_BRUTE_CAP))
+    raw = os.environ.get(BRUTE_CAP_ENV)
+    if raw is None:
+        return DEFAULT_BRUTE_CAP
     try:
         cap = int(raw)
     except ValueError:

@@ -1,6 +1,11 @@
 """Binomial and partial Bell polynomial kernel."""
 
-from ffdyck.bell import bell_partial
+from math import comb, factorial
+
+import pytest
+
+from ffdyck.bell import bell_partial, bell_rows
+from ffdyck.counting import ascent_weight
 
 
 def set_partitions(n: int, k: int):
@@ -76,3 +81,69 @@ def test_bell_pure_function_of_inputs():
     b = bell_partial(6, 3, (2, 1, 1))
     assert a == bell_partial(6, 3, (1, 1, 1))
     assert a != b
+
+
+def full_rows(n, xs):
+    """Rows 0..n of the Bell triangle, every column 0..i of every row i: the
+    loop bell_rows ran before its rows kept only their windows."""
+    args = [(j, x) for j, x in zip(range(1, n + 1), xs) if x]
+    rows = [[1]]
+    for i in range(1, n + 1):
+        row = [0] * (i + 1)
+        for j, x in args:
+            if j > i:
+                break
+            c = comb(i - 1, j - 1) * x
+            for k, b in enumerate(rows[i - j]):
+                if b:
+                    row[k + 1] += c * b
+        rows.append(row)
+    return rows
+
+
+# argument sequences by n; each is a prefix of the one for a larger n
+SHAPES = {
+    "ones": lambda n: [1] * n,
+    **{
+        f"m={m}": lambda n, m=m: [factorial(j) * ascent_weight(m, j) for j in range(1, m + 1)]
+        for m in (1, 2, 3, 4)
+    },
+    "gap": lambda n: (1, 0, 0, 2),
+    "leading-zero": lambda n: (0, 3, 1),
+    "one-argument": lambda n: (5,),
+    "zeros": lambda n: [0] * n,
+    "longer-than-n": lambda n: range(1, n + 9),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+def test_windows_match_the_full_triangle(shape):
+    want = full_rows(40, shape(40))
+    for n in range(41):
+        xs = shape(n)
+        assert bell_rows(n, xs, n + 1) == want[: n + 1], n
+        for k in range(-1, n + 2):
+            assert bell_partial(n, k, xs) == (want[n][k] if 0 <= k <= n else 0), (n, k)
+
+
+def test_stirling_entries_past_the_enumerable_sizes():
+    # S(n, k) = k S(n-1, k) + S(n-1, k-1), row by row to n = 200
+    stirling = [1]
+    for n in range(1, 201):
+        stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, n)] + [1]
+    for k in (1, 50, 100, 150, 199, 200):
+        assert bell_partial(200, k, [1] * 200) == stirling[k], k
+
+
+@pytest.mark.parametrize("c1, c2", [(1, 1), (2, 3)])
+def test_two_argument_closed_form_at_n_200(c1, c2):
+    # B_{n,j}(c1, 2 c2) = n!/j! C(j, n-j) c1^(2j-n) c2^(n-j)
+    n = 200
+    for j in range((n + 1) // 2, n + 1):
+        want = factorial(n) // factorial(j) * comb(j, n - j) * c1 ** (2 * j - n) * c2 ** (n - j)
+        assert bell_partial(n, j, (c1, 2 * c2)) == want, j
+
+
+def test_diagonal_past_the_enumerable_sizes():
+    # one argument: one cell per row
+    assert bell_partial(5000, 5000, (3,)) == 3**5000

@@ -303,6 +303,15 @@ def test_selfcheck_json(capsys, monkeypatch):
             id="series-d-n1e19",
         ),
         pytest.param(
+            "count --m 2 --n 10000000000000000000 --language U", {}, 3, id="bell-u-n1e19"
+        ),
+        pytest.param(
+            "count --m 2 --n 10000000000000000000 --language U --method colored",
+            {},
+            3,
+            id="colored-n1e19",
+        ),
+        pytest.param(
             "count --m 1 --n 2 --language U --method brute",
             {"DYCK_BRUTE_CAP": "1"},
             3,

@@ -189,6 +189,34 @@ def test_slope52_charges_its_terms(monkeypatch):
         count_u_slope52(9)
 
 
+def test_bell_triangle_and_colored_dp_charge_their_cells(monkeypatch):
+    # charged before the first row, as the letters of one item: at n = 10**19
+    # these ran past a 5 s timeout
+    monkeypatch.delenv(words.BRUTE_CAP_ENV, raising=False)
+    start = time.perf_counter()
+    for call, args in [
+        (bell.bell_partial, (10**19, 1, [1])),
+        (u_odd_power_coeff, (2, 10**19, 0)),
+        (count_d, (2, 10**19)),
+    ]:
+        with pytest.raises(words.CapExceeded, match="^Bell triangle needs more than 100000000 letters"):
+            call(*args)
+    with pytest.raises(words.CapExceeded, match="^colored Dyck DP needs more than 100000000 letters"):
+        count_colored_dyck(2, 10**19)
+    assert time.perf_counter() - start < 1
+    # (2, 9): the triangle steps 9 rows and holds 2 of at most 5 cells, 19
+    # letters; the DP steps 9 rows and holds two half-rows of 10 cells, 29
+    monkeypatch.setenv(words.BRUTE_CAP_ENV, "3")
+    u9 = count_colored_dyck(2, 9)
+    monkeypatch.setenv(words.BRUTE_CAP_ENV, "2")
+    assert count_u(2, 9) == u9
+    with pytest.raises(words.CapExceeded):
+        count_colored_dyck(2, 9)
+    monkeypatch.setenv(words.BRUTE_CAP_ENV, "1")
+    with pytest.raises(words.CapExceeded):
+        count_u(2, 9)
+
+
 def odd_power_by_comb_and_factorial(nu, ell, row):
     """u_odd_power_coeff's closed form from Bell row nu, C(N, k) * k! by comb and factorial."""
     top = 2 * nu + 2 * ell + 1
