@@ -15,9 +15,9 @@ x_j != 0, two facts bound it.  A block holds 1..J elements, so B_{i,k} = 0
 unless ceil(i/J) <= k <= i.  The recurrence adds one block per step, so
 B_{i,k} feeds B_{n,K} only through K - k more blocks that hold the n - i
 elements left, which needs K - (n - i) <= k <= K - ceil((n - i)/J).
-bell_rows keeps the first window and returns whole rows, zeros included;
-bell_partial reads one column K and keeps both, which trims even the
-all-ones (Stirling) rows, where J = n and the first window is the whole row.
+bell_rows keeps the first window; bell_partial reads one column K and keeps
+both, which trims even the all-ones (Stirling) rows, where J = n and the
+first window is the whole row.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def bell_rows(n: int, xs: Sequence[int], last: int) -> list[list[int]]:
-    """The last rows n - last + 1..n of the partial Bell triangle, row i[k] = B_{i,k}(x_1, x_2, ...).
+def bell_rows(n: int, xs: Sequence[int], last: int) -> list[tuple[int, list[int]]]:
+    """The last rows n - last + 1..n of the partial Bell triangle, B_{i,k}(x_1, x_2, ...).
 
     Row i comes from the rows above it by the recurrence
 
@@ -49,13 +49,12 @@ def bell_rows(n: int, xs: Sequence[int], last: int) -> list[list[int]]:
     Only the rows that the recurrence or the result can still read are held:
     the last max(last, J) of them, J = max{j <= n : x_j != 0}, which is
     every row when the arguments have no bounded support.  No block holds
-    more than J elements, so B_{i,k} = 0 for k * J < i, and each row is
-    computed and held only in its window ceil(i/J) <= k <= i; the rows
-    returned are whole, zeros included.  Needs 1 <= last <= n + 1.  Past
-    the brute-force cap (see `_triangle`) it raises CapExceeded first.
+    more than J elements, so B_{i,k} = 0 for k * J < i, and row i is
+    computed, held and returned as (first, cells), its window: first =
+    ceil(i/J) and cells[k - first] = B_{i,k}.  Needs 1 <= last <= n + 1.
+    Past the brute-force cap (see `_triangle`) it raises CapExceeded first.
     """
-    held = _triangle(n, _nonzero_args(n, xs), last, None)
-    return [[0] * first + row for first, row in list(held)[-last:]]
+    return list(_triangle(n, _nonzero_args(n, xs), last, None))[-last:]
 
 
 def _triangle(n: int, args: list[tuple[int, int]], last: int, column: int | None) -> deque:

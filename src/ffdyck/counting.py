@@ -8,7 +8,7 @@ count_d sums such coefficients over l, reading its last m + 1 rows from one
 pass.  The triangle holds only the last rows its recurrence or result still
 reads (m of them, m + 1 for count_d), and each row i only in its columns
 ceil(i/J) <= k <= i, J = min(m, n), the ones that can be nonzero, since no
-block holds more than J elements; the rows come back whole, zeros included.
+block holds more than J elements; the sums start at each row's first column.
 count_colored_dyck is a deliberately independent dynamic program over
 colored classical Dyck paths; it shares no code with the Bell formula or the
 series solvers so it can serve as an oracle for both.  It advances one block
@@ -38,7 +38,7 @@ lengths of the operands, not their digits.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, perm
 from operator import mul
 
 from . import series, words
@@ -123,11 +123,12 @@ def u_odd_power_coeff(m: int, nu: int, ell: int) -> int:
     return _odd_power_from_row(m, nu, ell, bell_rows(nu, _weighted_args(m, nu), 1)[0])
 
 
-def _odd_power_from_row(m: int, nu: int, ell: int, row: list[int]) -> int:
-    """The closed form of u_odd_power_coeff, given row nu of the Bell table."""
+def _odd_power_from_row(m: int, nu: int, ell: int, row: tuple[int, list[int]]) -> int:
+    """The closed form of u_odd_power_coeff, given row nu of the Bell table as (first, cells)."""
     top = 2 * nu + 2 * ell + 1
-    total, falling = 0, 1  # falling = C(top, k) * k!
-    for k, b in enumerate(row):
+    first, cells = row
+    total, falling = 0, perm(top, first)  # falling = C(top, k) * k!
+    for k, b in enumerate(cells, first):
         total += falling * b
         falling *= top - k
     context = "u_odd_power_coeff(m={}, nu={}, ell={})"

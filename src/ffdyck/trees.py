@@ -46,7 +46,7 @@ from __future__ import annotations
 import re
 from typing import Any
 
-from .words import Budget, check_args, check_word
+from .words import Budget, check_args, check_word, shown
 
 COLORS = ("blue", "red", "green")
 
@@ -174,7 +174,7 @@ class ColoredTree:
                 raise MalformedTree("tree node contains itself")
             color = item.get("color", "none")
             if color not in COLORS and color != "none":
-                raise MalformedTree(f"unknown color {color!r}")
+                raise MalformedTree(f"unknown color {shown(color)}")
             children = item.get("children", [])
             if not isinstance(children, list):
                 raise MalformedTree("children must be a list")
@@ -210,10 +210,10 @@ def _node(
     if deg == 2:
         if color not in COLORS:
             raise MalformedTree(
-                f"outdegree-2 node must be colored blue/red/green, got {color!r}"
+                f"outdegree-2 node must be colored blue/red/green, got {shown(color)}"
             )
     elif color is not None:
-        raise MalformedTree(f"outdegree-{deg} node must be uncolored, got {color!r}")
+        raise MalformedTree(f"outdegree-{deg} node must be uncolored, got {shown(color)}")
     self = object.__new__(ColoredTree)
     _set_color(self, color)
     _set_children(self, tuple(kids))

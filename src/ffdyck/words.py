@@ -63,7 +63,7 @@ def brute_cap(override: int | None = None) -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {shown(raw)}") from None
     check_int(BRUTE_CAP_ENV, cap, 0)
     return cap
 
@@ -96,18 +96,36 @@ class Budget:
             raise CapExceeded(f"{self.caller} needs more than {spent} brute-force cap")
 
 
+def shown(value: object) -> str:
+    """`value` for an error message: its repr if short, else its type and size.
+
+    None, a bool, a float, a str of at most 60 characters and an int of at
+    most 128 bits print as their repr; a longer str or int is named by its
+    size, and any other value by its type.  str() refuses an int past about
+    4300 digits, and repr() of a deeply nested list recurses.
+    """
+    if type(value) is int and value.bit_length() > 128:
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit int"
+    if type(value) is str and len(value) > 60:
+        return f"a {len(value)}-character str"
+    if value is None or type(value) in (bool, int, float, str):
+        return repr(value)
+    return f"a {type(value).__name__}"
+
+
 def check_int(name: str, value: int, low: int | None = None, high: int | None = None) -> None:
     """The input contract for an integer: an int, not a bool, in low.. or low..high.
 
     The caller fixes the bounds; without low there are none.  Out of them the
     message reads `{name} must be >= {low}, got {value}` or
-    `{name} must be in {low}..{high}, got {value}`.
+    `{name} must be in {low}..{high}, got {value}`, the value as `shown` gives
+    it, so an int past 128 bits reads as, say, `a negative 13288-bit int`.
     """
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {type(value).__name__}")
     if low is not None and (value < low or high is not None and value > high):
         bound = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
+        raise ValueError(f"{name} must be {bound}, got {shown(value)}")
 
 
 def check_args(m: int, n: int = 0) -> None:
@@ -280,16 +298,18 @@ def is_in_u(word: str, m: int) -> bool:
     word ends at level 1, so any tie is a proper Dyck factor.  The frame's a
     lifts each prefix of the word by 2m+1, so the band reads "framed levels
     above 1" and the dip "some framed level below 2m+1".  Without a dip a
-    nonempty word would return to 2m+1 over its start, a tie, while the empty
-    word, framed as a b^m, ties nothing and is in U.  Inside the word, a
-    framed level 0 ties the start unless a lower level came first, and a
-    level 1 ties the frame's last level unless a lower one comes later.  So
-    without a tie the band fails iff some level is below 0, and as the frame
-    ends at 1 that level stays visible: the band holds iff the lowest visible
-    level, the first in the scan's list, is the start 0.
+    nonempty word would return to 2m+1 over its start, a tie; the empty word
+    is in U and is answered before its m + 1 frame letters are built.
+    Inside the word, a framed level 0 ties the start unless a lower level
+    came first, and a level 1 ties the frame's last level unless a lower one
+    comes later.  So without a tie the band fails iff some level is below 0,
+    and as the frame ends at 1 that level stays visible: the band holds iff
+    the lowest visible level, the first in the scan's list, is the start 0.
     """
     check_args(m)
     check_word(word)
+    if not word:
+        return True
     rise = 2 * m + 1
     if rise * word.count("a") != 2 * word.count("b"):
         return False
@@ -310,6 +330,9 @@ def is_in_u_lattice(word: str, m: int) -> bool:
     point while finishing strictly below it at an even east-step distance
     (such a tail closes into a Dyck factor once up to m north steps are
     appended).
+
+    The pair scan is quadratic: a word of L letters that passes the letter
+    count is charged to a `Budget` first, as L(L+1)/2 pairs of no letters.
     """
     check_args(m)
     check_word(word)
@@ -319,6 +342,7 @@ def is_in_u_lattice(word: str, m: int) -> bool:
     # the end point (#a, #b) must lie on the main line
     if 2 * word.count("b") != rise * word.count("a"):
         return False
+    Budget("lattice reading", "pairs", None).charge(len(word) * (len(word) + 1) // 2, 0)
     pts = [(0, 0)]
     x = y = 0
     for c in word:

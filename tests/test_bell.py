@@ -121,7 +121,10 @@ def test_windows_match_the_full_triangle(shape):
     want = full_rows(40, shape(40))
     for n in range(41):
         xs = shape(n)
-        assert bell_rows(n, xs, n + 1) == want[: n + 1], n
+        rows = bell_rows(n, xs, n + 1)
+        top = max((j for j, x in zip(range(1, n + 1), xs) if x), default=1)
+        assert [first for first, _ in rows[1:]] == [-(-i // top) for i in range(1, n + 1)], n
+        assert [[0] * first + cells for first, cells in rows] == want[: n + 1], n
         for k in range(-1, n + 2):
             assert bell_partial(n, k, xs) == (want[n][k] if 0 <= k <= n else 0), (n, k)
 

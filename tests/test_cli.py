@@ -133,6 +133,12 @@ def test_verify_all_b_word(capsys):
     assert report["valuation"] == -14 and report["in_U"] is False
 
 
+def test_verify_the_empty_word_at_a_huge_slope(capsys):
+    # the empty word is answered before its m + 1 frame letters are built
+    code, out, _ = run_cli(capsys, "verify", "--m", "10000000000000000000", "--word", "")
+    assert code == 0 and json.loads(out)["in_U"] is True
+
+
 def test_tree_encode(capsys):
     code, out, _ = run_cli(capsys, "tree", "--encode", "babbbab")
     assert code == 0
@@ -281,6 +287,19 @@ def test_selfcheck_json(capsys, monkeypatch):
         pytest.param(
             'tree --decode {"children":[{}]}', {}, 2, id="tree-decode-outdegree-1"
         ),
+        # a long or deep value is named by its type and size, not printed
+        pytest.param(
+            'tree --decode {"color":' + "[" * 5000 + "]" * 5000 + "}",
+            {},
+            2,
+            id="tree-decode-deep-color",
+        ),
+        pytest.param(
+            'tree --decode {"color":"' + "x" * 5000 + '"}', {}, 2, id="tree-decode-long-color"
+        ),
+        pytest.param(
+            "count --m 2 --n -" + "9" * 4000 + " --language U", {}, 2, id="count-n-4000-digits"
+        ),
         pytest.param(
             "count --m 1 --n 3000 --language U --method brute", {}, 3, id="brute-n3000"
         ),
@@ -334,6 +353,12 @@ def test_selfcheck_json(capsys, monkeypatch):
             {"DYCK_BRUTE_CAP": "-1"},
             2,
             id="cap-negative",
+        ),
+        pytest.param(
+            "count --m 1 --n 2 --language D --method brute",
+            {"DYCK_BRUTE_CAP": "x" * 3000},
+            2,
+            id="cap-long",
         ),
     ],
 )

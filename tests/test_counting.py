@@ -229,9 +229,9 @@ def odd_power_by_comb_and_factorial(nu, ell, row):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_falling_factorial_prefactor_matches_comb_and_factorial(m):
     xs = [factorial(j) * comb(m + j, m - j) for j in range(1, m + 1)]
-    for nu, row in enumerate(bell.bell_rows(60, xs, 61)):
+    for nu, (first, cells) in enumerate(bell.bell_rows(60, xs, 61)):
         for ell in range(4):
-            want = odd_power_by_comb_and_factorial(nu, ell, row)
+            want = odd_power_by_comb_and_factorial(nu, ell, [0] * first + cells)
             assert u_odd_power_coeff(m, nu, ell) == want, (nu, ell)
 
 
@@ -291,6 +291,8 @@ def test_bell_route_holds_only_the_rows_it_reads():
     [
         pytest.param(count_u, (0, 1), "m must be >= 1", id="count_u-m"),
         pytest.param(count_u, (2, -1), "n must be >= 0", id="count_u-n"),
+        # str() refuses an int past about 4300 digits: the message names its size
+        pytest.param(count_u, (2, -(10**5000)), "^n must be >= 0, got a negative 16610-bit int$", id="count_u-n-5000-digits"),
         pytest.param(count_d, (0, 1), "m must be >= 1", id="count_d-m"),
         pytest.param(count_d, (2, -1), "n must be >= 0", id="count_d-n"),
         pytest.param(count_colored_dyck, (0, 1), "m must be >= 1", id="colored-m"),

@@ -104,6 +104,18 @@ def test_tree_invariants_enforced():
         ColoredTree("blue", 5)
 
 
+def test_long_colors_are_named_not_printed():
+    with pytest.raises(MalformedTree, match=r"got a 3000-character str$"):
+        ColoredTree("x" * 3000, (LEAF, LEAF))
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(MalformedTree, match=r"^outdegree-0 node must be uncolored, got a list$"):
+        ColoredTree(deep, ())
+    with pytest.raises(MalformedTree, match=r"^unknown color a list$"):
+        ColoredTree.from_json_obj({"color": deep})
+
+
 def test_encode_rejects_non_u_words():
     assert word_to_tree("") == LEAF  # the empty word is in U
     with pytest.raises(NotInU):

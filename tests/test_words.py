@@ -6,6 +6,7 @@ import itertools
 import random
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -439,6 +440,33 @@ def test_cap_check_costs_less_than_the_search():
     with pytest.raises(CapExceeded):
         enumerate_trees(10**7)
     assert time.perf_counter() - start < 1.0
+
+
+def test_empty_word_is_answered_before_it_is_framed():
+    tracemalloc.start()
+    try:
+        assert is_in_u("", 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_lattice_reading_charges_its_pair_scan(monkeypatch):
+    # a 10**5-letter word of valuation 0 passes the letter count; its pair
+    # scan would run for about half an hour
+    monkeypatch.delenv(words.BRUTE_CAP_ENV, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="^lattice reading needs more than 10000000 pairs, the"):
+        is_in_u_lattice("a" * 40000 + "b" * 60000, 1)
+    assert time.perf_counter() - start < 1
+    # L(L+1)/2 pairs: the 5-letter U-word is 15
+    monkeypatch.setenv(words.BRUTE_CAP_ENV, "15")
+    assert is_in_u_lattice("abbab", 1)
+    monkeypatch.setenv(words.BRUTE_CAP_ENV, "14")
+    with pytest.raises(CapExceeded):
+        is_in_u_lattice("abbab", 1)
+    assert not is_in_u_lattice("abbabb", 1)  # fails the letter count: charged nothing
 
 
 @pytest.mark.parametrize(
