@@ -30,11 +30,19 @@ from .words import Budget, check_int
 
 
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), zero for k < 0 or k > n."""
+    """Binomial coefficient C(n, k), zero for k < 0 or k > n.
+
+    C(n, k) <= n^min(k, n - k), so the result fills at most
+    min(k, n - k) * bits(n) / 64 64-bit words.  It is charged to one
+    `words.Budget` first, as one item of that many letters, so a result
+    past the brute-force cap raises CapExceeded before it is built.  The
+    counting routes read their small weights from `math.comb` directly.
+    """
     check_int("n", n)
     check_int("k", k)
     if k < 0 or k > n:
         return 0
+    Budget("binomial", "results", None).charge(1, min(k, n - k) * n.bit_length() // 64)
     return comb(n, k)
 
 
@@ -65,14 +73,11 @@ def _triangle(n: int, args: list[tuple[int, int]], last: int, column: int | None
     K.  A cell of row i - j feeds column k + 1 of row i, so each (row, j)
     pair reads one slice of the row above, the whole row when there is no
     column, and no j with i - j < lo - 1 reaches the window.  The triangle is
-    charged to one `words.Budget` first, as one item whose letters are the
-    n rows it steps and the cells its held rows can hold (held rows x the
-    widest window).
+    charged first, by `charge_triangle`.
     """
     top = args[-1][0] if args else 1
     held: deque = deque([(0, [1])], maxlen=last if last > top else top)
-    widest = n - -(-n // top) + 1
-    Budget("Bell triangle", "triangles", None).charge(1, n + held.maxlen * widest)
+    charge_triangle(n, top, last)
     for i in range(1, n + 1):
         lo, hi = -(-i // top), i
         if column is not None:
@@ -98,6 +103,17 @@ def _triangle(n: int, args: list[tuple[int, int]], last: int, column: int | None
                     row[k] += c * b
         held.append((lo, row))
     return held
+
+
+def charge_triangle(n: int, top: int, last: int) -> None:
+    """Charge the triangle to row n, J = top, that keeps `last` rows to one `words.Budget`.
+
+    One item, whose letters are the n rows it steps and the cells its held
+    rows can hold: max(last, J) rows times the widest window, n - ceil(n/J) + 1.
+    A caller that builds costly arguments charges their triangle first.
+    """
+    held = last if last > top else top
+    Budget("Bell triangle", "triangles", None).charge(1, n + held * (n - -(-n // top) + 1))
 
 
 def _nonzero_args(n: int, xs: Sequence[int]) -> list[tuple[int, int]]:

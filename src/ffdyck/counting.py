@@ -19,9 +19,10 @@ heights h <= r, from which r blocks can still return to 0, and its values
 count walks of at most n blocks, so they carry fewer bits than the forward
 rows n + 1..2n they replace.  Each half-row is one packed int, cell i in
 a slot of B bits, and a row step is a few whole-row shifts, small
-multiplies and adds; B covers the widest cell times (sum_j w_j)^64, and is
-measured again every 64 rows.  The packed passes are memory-bound, so past
-n = 500-700 at m = 2 and 3 they are slower than rows of one int per cell.
+multiplies and adds; B covers the widest cell times (sum_j w_j)^r for the
+r <= 64 rows left in the chunk, and is measured again every 64 rows.  The
+packed passes are memory-bound, so past n = 500-700 at m = 2 and 3 they are
+slower than rows of one int per cell.
 count_u_slope52 sums its single-sum closed form by the ratio of consecutive
 terms: one multiply of the big term by the small factors and one checked
 divmod per step.
@@ -42,7 +43,7 @@ from math import comb, factorial, perm
 from operator import mul
 
 from . import series, words
-from .bell import bell_rows
+from .bell import bell_rows, binomial, charge_triangle
 from .words import check_args, check_int
 
 
@@ -60,21 +61,26 @@ def _exact_div(num: int, den: int, context: str, *args: object) -> int:
 
 
 def ascent_weight(m: int, j: int) -> int:
-    """Weight C(m+j, m-j) of a maximal 2j-ascent; zero for j > m.
+    """Weight C(m+j, m-j) of a maximal 2j-ascent, by `binomial`; zero for j < 0 or j > m.
 
     These are the coefficients of the functional equation of the U series and
     simultaneously the number of primitive words of length (2m+3)j.
     """
     check_args(m)
     check_int("j", j)
-    if j < 0 or j > m:
-        return 0
-    return comb(m + j, m - j)
+    return binomial(m + j, m - j)
 
 
-def _weighted_args(m: int, n: int) -> list[int]:
-    """Bell arguments j! * C(m+j, m-j) for j = 1..min(m, n); Bell row n reads none past n."""
-    return [factorial(j) * ascent_weight(m, j) for j in range(1, min(m, n) + 1)]
+def _bell_rows(m: int, n: int, last: int) -> list[tuple[int, list[int]]]:
+    """`bell_rows(n, xs, last)` on xs_j = j! * C(m+j, m-j), j = 1..min(m, n).
+
+    Row n reads no argument past n.  The triangle is charged first, so a
+    size past the cap is refused before min(m, n) factorials are built;
+    `bell_rows` charges it again.
+    """
+    top = min(m, n)
+    charge_triangle(n, top or 1, last)
+    return bell_rows(n, [factorial(j) * comb(m + j, m - j) for j in range(1, top + 1)], last)
 
 
 def count_u(m: int, n: int) -> int:
@@ -120,7 +126,7 @@ def u_odd_power_coeff(m: int, nu: int, ell: int) -> int:
     """
     check_args(m, nu)
     check_int("ell", ell, 0)
-    return _odd_power_from_row(m, nu, ell, bell_rows(nu, _weighted_args(m, nu), 1)[0])
+    return _odd_power_from_row(m, nu, ell, _bell_rows(m, nu, 1)[0])
 
 
 def _odd_power_from_row(m: int, nu: int, ell: int, row: tuple[int, list[int]]) -> int:
@@ -140,12 +146,12 @@ def count_d(m: int, n: int) -> int:
     check_args(m, n)
     if n == 0:
         return 1
-    ells = range(min(m, n - 1) + 1)
-    rows = bell_rows(n - 1, _weighted_args(m, n - 1), len(ells))
+    last = min(m, n - 1) + 1
+    rows = _bell_rows(m, n - 1, last)
     return sum(
         comb(m + ell + 1, m - ell)
         * _odd_power_from_row(m, n - ell - 1, ell, rows[-1 - ell])
-        for ell in ells
+        for ell in range(last)
     )
 
 
@@ -193,11 +199,14 @@ def count_colored_dyck(m: int, n: int) -> int:
     a few whole-row shifts, small multiplies and adds, with no per-cell
     object.  Every value is nonnegative and a step multiplies the largest
     cell by at most sum_j w_j, so slots of B = bits(widest cell) +
-    bits((sum_j w_j)^64) + 1 bits, rounded up to whole bytes, hold every
-    cell and every partial sum of the next 64 rows, and no slot carries
-    into the next.  Every 64 rows both halves are unpacked, B is measured
-    again from the widest cell and the halves are repacked; the dot product
-    reads the unpacked cells of row n.
+    bits((sum_j w_j)^r) + 1 bits, rounded up to whole bytes, hold every
+    cell and every partial sum of the next r rows, and no slot carries
+    into the next.  The rows go in chunks of 64, and r is the rows the
+    chunk steps: 64, or fewer in the last chunk, so a short pass or its
+    last chunk carries no headroom for rows it never steps.  Every 64 rows
+    both halves are unpacked, B is measured again from the widest cell and
+    the halves are repacked; the dot product reads the unpacked cells of
+    row n.
 
     The packed rows win while the cost of one int object per cell outweighs
     the digits: up to n = 400 at m = 1..3 they take 0.26-0.81 of the time
@@ -228,14 +237,15 @@ def _packed_rows(m: int, n: int) -> tuple[list[int], list[int]]:
     2n - k, from which the blocks left cannot return; a mask drops them
     every fourth row and at row n.  A step goes down by at most 1, so they
     feed no kept height, and the rows in between carry them at no risk:
-    they are bounded like every other cell.
+    they are bounded like every other cell.  Each 64-row chunk packs its
+    slots with growth bits for the min(64, n - start) rows it steps.
     """
     high = min(m, n)  # no block climbs past j = n and returns in 2n blocks
     weights = [comb(m + j, m - j) for j in range(high + 1)]
     head, middle = weights[high], weights[high - 1 : 0 : -1]  # w_(high-1), ..., w_1
-    growth = (sum(weights) ** 64).bit_length() + 1
     forward = backward = [1]
     for start in range(0, n, 64):
+        growth = (sum(weights) ** min(64, n - start)).bit_length() + 1
         fb, f = _pack(forward, growth)
         bb, b = _pack(backward, growth)
         fw, bw = 8 * fb, 8 * bb

@@ -18,11 +18,11 @@ other U^(2j) as one convolution with U^2; D adds one convolution with U.  So
 a U or D solve to order n costs O(m n^2) integer operations.  Coefficient n
 reads the terms t^j with j <= n only, so to an order n < m the sums stop at
 j = n and the powers at U^(2 max(1, n)): a large m costs no more than
-m = order.  Every L_1 word has valuation 1, so
-its length is m+1 mod 2m+3 and L_1 is zero off that residue class; the L
-solver's convolutions with L_1 step over L_1's lengths only, which divides
-their cost by 2m+3, and a guard raises if a coefficient of L_1 off the
-class comes out nonzero.
+m = order.  An L_k word of length n has valuation k = (2m+3)#a - 2n, so
+L_k is zero at n unless k + 2n = 0 mod 2m+3: of L_1..L_{2m+1}, at most one
+unknown can be nonzero at each length.  The L solver computes only that
+one, and its convolution with L_1 steps over L_1's lengths, m+1 mod
+2m+3, so a length costs one convolution of about n/(2m+3) products.
 Each solver returns the coefficients 0..order as a tuple of ints; selfcheck
 checks them against their equations with a truncated product of its own.
 Each first charges the coefficients its lists will hold to one
@@ -32,9 +32,9 @@ brute-force cap raises CapExceeded before it allocates any.
 
 from __future__ import annotations
 
+from math import comb
 from operator import mul
 
-from .bell import binomial
 from .words import Budget, check_args, check_int, period
 
 
@@ -54,7 +54,7 @@ def _even_powers(m: int, order: int, budget: Budget) -> list[list[int]]:
     """
     top = max(1, min(m, order))
     budget.charge((top + 1) * (order + 1), 0)
-    weights = [(j, binomial(m + j, m - j)) for j in range(1, top + 1)]
+    weights = [(j, comb(m + j, m - j)) for j in range(1, top + 1)]
     u = [1] + [0] * order
     evens = [u] + [[1] for _ in range(top)]
     steps = [  # (U^(2j), a, b) with U^(2j) = a b; a is b for a square
@@ -99,7 +99,7 @@ def d_series(m: int, order: int) -> tuple[int, ...]:
     budget.charge((min(m, order) + 1) * (order + 1), 0)  # K2's terms, K2 and D
     evens = _even_powers(m, order, budget)
     u = evens[0]
-    weights = [(j, binomial(m + j - 1, m - j)) for j in range(2, min(m, order) + 1)]
+    weights = [(j, comb(m + j - 1, m - j)) for j in range(2, min(m, order) + 1)]
     terms = [[0] * (j - 2) + [w * x for x in evens[j - 1][: order + 1 - j]] for j, w in weights]
     k2 = list(map(sum, zip(*terms)))
     d = [1] + [a + m * b for a, b in zip(evens[1], u[:order])]
@@ -111,13 +111,14 @@ def d_series(m: int, order: int) -> tuple[int, ...]:
 def l_series(m: int, i: int, order: int) -> tuple[int, ...]:
     """Counting series in tau of the i-th one-letter-step language, 1 <= i <= 2m+1.
 
-    At each index n the unknowns are filled from L_{2m+1} down to L_1; every
-    right-hand side reads only coefficients below n.  The product tau L_1
-    L_{k+1} sums over the lengths m+1 + r(2m+3) < n of L_1 words only; after
-    each index an AssertionError is raised if L_1's new coefficient is
-    nonzero off that class, so no skipped product is ever nonzero.  An L_k
-    word of length l has valuation k = (2m+3)#a - 2l, #a >= 1, so only L_k
-    with k >= 2m+3 - 2 order (and the two top rows) are built.
+    At each length n only the unknown L_K with K + 2n = 0 mod 2m+3 can be
+    nonzero (see the module docstring); it is the one computed, and every
+    other unknown keeps the 0 it was allocated with.  Its right-hand side
+    reads only lengths below n, and its product tau L_1 L_{K+1} sums over
+    the lengths m+1 + r(2m+3) < n of L_1 words only, held as their own list
+    and extended whenever L_1 is the unknown computed.  An L_k word of
+    length l has valuation k = (2m+3)#a - 2l, #a >= 1, so only L_k with
+    k >= 2m+3 - 2 order (and the two top rows) are built.
     """
     check_args(m, order)
     top = 2 * m + 1
@@ -129,16 +130,22 @@ def l_series(m: int, i: int, order: int) -> tuple[int, ...]:
     if i < low:
         return (0,) * (order + 1)
     step = period(m)
-    ls = [[0] for _ in range(low, top + 1)]  # ls[k - low] holds L_k
-    l1 = ls[0] if low == 1 else [0] * (order + 1)  # L_1 is zero to this order
+    ls = [[0] * (order + 1) for _ in range(low, top + 1)]  # ls[k - low] holds L_k
+    l1_class = []  # L_1 at its lengths m + 1, m + 1 + step, .. below n
     for n in range(1, order + 1):
-        ls[-1].append(1 if n == 1 else 0)
-        ls[-2].append(l1[n - 2] if n >= 2 else 0)
-        l1_class = l1[m + 1 :: step]  # L_1 on its lengths below n; empty for n <= m + 1
-        back = n - 2 - m  # the index of L_{k+1} that meets L_1's length m + 1
-        for k in range(len(ls) - 3, -1, -1):
-            after = ls[k + 1][back::-step]
-            ls[k].append(sum(map(mul, l1_class, after)) + ls[k + 2][n - 1])
-        if l1[n] and n % step != m + 1:
-            raise AssertionError(f"L_1 has a word of length {n}, not {m + 1} mod {step}")
+        k = -2 * n % step
+        if k < low or k > top:
+            continue
+        if k == top:
+            c = 1 if n == 1 else 0
+        elif k == top - 1:  # L_{2m} = tau^2 L_1; its n - 2 is on L_1's class
+            c = l1_class[(n - m - 3) // step]
+        else:
+            # L_{k+1} at n - 1 - (m + 1), n - 1 - (m + 1) - step, ..; no term
+            # when l1_class is empty, as it is whenever that start is negative
+            after = ls[k + 1 - low][n - 2 - m :: -step]
+            c = sum(map(mul, l1_class, after)) + ls[k + 2 - low][n - 1]
+            if k == 1:
+                l1_class.append(c)
+        ls[k - low][n] = c
     return tuple(ls[i - low])

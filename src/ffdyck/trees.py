@@ -150,8 +150,13 @@ class ColoredTree:
         """Read `to_json_obj` output; a missing color is "none", missing children [].
 
         The nodes are visited in the order of a recursive reading, so the first
-        malformed node found is the one a recursive reading would report.
+        malformed node found is the one a recursive reading would report.  Each
+        node is charged to one `words.Budget` as it is read, as an item with no
+        letters: a child list that repeats one object is read as the unshared
+        tree it spells, so a few shared dicts past the brute-force cap raise
+        CapExceeded before their nodes are built.
         """
+        budget = Budget("tree JSON reader", "nodes", None)
         built: list[ColoredTree] = []
         on_path: set[int] = set()  # ids of the JSON nodes being read
         # a JSON node to read, paired with None, or a node read, paired with
@@ -172,6 +177,7 @@ class ColoredTree:
                 )
             if id(item) in on_path:
                 raise MalformedTree("tree node contains itself")
+            budget.charge(1, 0)
             color = item.get("color", "none")
             if color not in COLORS and color != "none":
                 raise MalformedTree(f"unknown color {shown(color)}")

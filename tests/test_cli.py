@@ -325,6 +325,20 @@ def test_selfcheck_json(capsys, monkeypatch):
             "count --m 2 --n 10000000000000000000 --language U", {}, 3, id="bell-u-n1e19"
         ),
         pytest.param(
+            "count --m 10000000000000000000 --n 10000000000000000000 --language U",
+            {},
+            3,
+            id="bell-u-m1e19-n1e19",
+        ),
+        pytest.param(
+            "count --m 10000000000000000000 --n 10000000000000000000 --language D",
+            {},
+            3,
+            id="bell-d-m1e19-n1e19",
+        ),
+        pytest.param("count --m 100000 --n 100000 --language U", {}, 3, id="bell-u-m1e5-n1e5"),
+        pytest.param("count --m 100000 --n 100000 --language D", {}, 3, id="bell-d-m1e5-n1e5"),
+        pytest.param(
             "count --m 2 --n 10000000000000000000 --language U --method colored",
             {},
             3,

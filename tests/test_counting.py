@@ -217,6 +217,23 @@ def test_bell_triangle_and_colored_dp_charge_their_cells(monkeypatch):
         count_u(2, 9)
 
 
+def test_binomial_and_ascent_weight_charge_their_result(monkeypatch):
+    # charged before comb, in 64-bit words: these ran past a 5 s timeout
+    monkeypatch.delenv(words.BRUTE_CAP_ENV, raising=False)
+    start = time.perf_counter()
+    for call in (bell.binomial, ascent_weight):
+        with pytest.raises(words.CapExceeded, match="^binomial needs more than 100000000 letters"):
+            call(10**19, 10**18)
+    assert time.perf_counter() - start < 1
+    # C(2**20, 64) fills at most 64 * 21 / 64 = 21 words: within 10 x a cap of 3,
+    # past 10 x a cap of 2, and so does C(2**20, 2**20 - 64)
+    monkeypatch.setenv(words.BRUTE_CAP_ENV, "3")
+    assert bell.binomial(2**20, 64) == comb(2**20, 64)
+    monkeypatch.setenv(words.BRUTE_CAP_ENV, "2")
+    with pytest.raises(words.CapExceeded):
+        bell.binomial(2**20, 2**20 - 64)
+
+
 def odd_power_by_comb_and_factorial(nu, ell, row):
     """u_odd_power_coeff's closed form from Bell row nu, C(N, k) * k! by comb and factorial."""
     top = 2 * nu + 2 * ell + 1

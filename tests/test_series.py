@@ -7,7 +7,7 @@ from operator import mul
 
 import pytest
 
-from ffdyck import series, words
+from ffdyck import words
 from ffdyck.selfcheck import series_sum
 from ffdyck.series import d_series, l_series, u_series
 
@@ -104,11 +104,15 @@ def test_l_series_matches_dense_solve(m):
         assert l_series(m, i, 300) == dense[i], i
 
 
-def test_l_series_guard_catches_a_wrong_stride(monkeypatch):
-    # with the wrong period L_1 gets a word off its residue class, which must raise
-    monkeypatch.setattr(series, "period", lambda m: 2 * m + 4)
-    with pytest.raises(AssertionError, match="L_1 has a word of length 7"):
-        l_series(1, 1, 40)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_l_k_is_zero_off_its_residue_class(m):
+    # an L_k word of length n has valuation k = (2m+3)#a - 2n; l_series
+    # computes each length's one live L_k only
+    dense = dense_l_series(m, 300)
+    for k in range(1, 2 * m + 2):
+        lengths = [n for n, c in enumerate(dense[k]) if c]
+        assert lengths, k
+        assert all((k + 2 * n) % (2 * m + 3) == 0 for n in lengths), (k, lengths)
 
 
 @pytest.mark.parametrize("m", [4, 8])

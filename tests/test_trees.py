@@ -195,6 +195,31 @@ def test_json_rejects_bad_input():
     assert ColoredTree.from_json_obj({"color": "red", "children": [shared, shared]}) == RED
 
 
+def test_json_reader_charges_the_nodes_it_reads(monkeypatch):
+    # 8 dicts, each 4 times the child of the next, spell 87,381 nodes: read
+    # in 0.35 s under a cap of 100 before the charge
+    shared = {}
+    for _ in range(8):
+        shared = {"children": [shared] * 4}
+    monkeypatch.setenv("DYCK_BRUTE_CAP", "100")
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="^tree JSON reader needs more than 100 nodes,"):
+        ColoredTree.from_json_obj(shared)
+    assert time.perf_counter() - start < 1
+    # a chain of 50 blue nodes and 51 leaves is read at a cap of 101 nodes
+    chain, want = {}, LEAF
+    for _ in range(50):
+        chain, want = {"color": "blue", "children": [chain, {}]}, ColoredTree("blue", (want, LEAF))
+    with pytest.raises(CapExceeded):
+        ColoredTree.from_json_obj(chain)
+    monkeypatch.setenv("DYCK_BRUTE_CAP", "101")
+    assert ColoredTree.from_json_obj(chain) == want
+    # an ordinary tree at the default cap
+    monkeypatch.delenv("DYCK_BRUTE_CAP")
+    tree = word_to_tree(TEN_EDGE_WORD)
+    assert ColoredTree.from_json_obj(tree.to_json_obj()) == tree
+
+
 def test_canonical_rendering():
     assert LEAF.canonical() == "L"
     assert BLUE.canonical() == "B(L,L)"
